@@ -20,6 +20,7 @@
 #include "graph/transform.hpp"
 #include "obs/metrics.hpp"
 #include "sched/list_scheduler.hpp"
+#include "stg/random_gen.hpp"
 #include "stg/suite.hpp"
 
 namespace {
@@ -37,6 +38,7 @@ constexpr const char* kSearchCounters[] = {
     "schedule_cache.store_schedule_hit", "schedule_cache.store_profile_hit",
     "search.graham_shortcircuit_upper", "search.graham_shortcircuit_lower",
     "search.probe_gap_only",           "search.probe_materialized",
+    "search.bound_pruned",
 };
 
 std::vector<std::uint64_t> snapshot_search_counters() {
@@ -70,6 +72,16 @@ graph::TaskGraph random_graph(std::size_t size) {
   auto specs = stg::random_group_specs(size, 3);
   return graph::scale_weights(stg::generate_random(specs[2]),
                               stg::kCoarseGrainCyclesPerUnit);
+}
+
+/// The graphs the serving benchmark's cold workload sends: the default
+/// RandomGraphSpec, whose ASAP width (~500 at 2000 tasks) is about twice
+/// that of random_graph's family, so LAMPS phase 2 spans a long
+/// processor-count range and its bound prune carries most of the search.
+graph::TaskGraph default_spec_graph(std::size_t size) {
+  stg::RandomGraphSpec spec;
+  spec.num_tasks = size;
+  return graph::scale_weights(stg::generate_random(spec), stg::kCoarseGrainCyclesPerUnit);
 }
 
 core::Problem make_problem(const graph::TaskGraph& g, double factor) {
@@ -116,6 +128,17 @@ void BM_LampsPsSearch(benchmark::State& state) {
   report_search_counters(state, before);
 }
 BENCHMARK(BM_LampsPsSearch)->Arg(100)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
+
+void BM_LampsPsSearchDefaultSpec(benchmark::State& state) {
+  const graph::TaskGraph g = default_spec_graph(static_cast<std::size_t>(state.range(0)));
+  const core::Problem prob = make_problem(g, 2.0);
+  const auto before = snapshot_search_counters();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::lamps_schedule_ps(prob));
+  }
+  report_search_counters(state, before);
+}
+BENCHMARK(BM_LampsPsSearchDefaultSpec)->Arg(2000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_LampsPsApplicationGraph(benchmark::State& state) {
   const auto apps = stg::application_graphs();

@@ -31,6 +31,9 @@ obs::Counter& c_graham_upper = obs::counter("search.graham_shortcircuit_upper");
 obs::Counter& c_graham_lower = obs::counter("search.graham_shortcircuit_lower");
 obs::Counter& c_probe_gap_only = obs::counter("search.probe_gap_only");
 obs::Counter& c_probe_materialized = obs::counter("search.probe_materialized");
+// Phase-2 processor counts skipped because their energy lower bound
+// exceeds the incumbent (never scheduled, never looked up).
+obs::Counter& c_bound_pruned = obs::counter("search.bound_pruned");
 
 /// One scheduling workspace per thread, shared by every configuration
 /// search that runs on it (phase 1 + speedup via the ScheduleCache, the
@@ -71,6 +74,32 @@ void run_indexed(std::size_t threads, std::size_t count,
     CancelScope scope(token);
     body(i);
   });
+}
+
+/// LB(N) with the critical path and total work precomputed: see
+/// processor_count_energy_bound.
+double energy_lower_bound(const Problem& prob, Cycles total_work, Cycles cpl,
+                          std::size_t num_procs, bool with_ps) {
+  const auto nc = static_cast<Cycles>(num_procs);
+  // Graham's floor on any num_procs-processor makespan, and the slowest
+  // level that floor allows: the evaluator's level is never slower.
+  const Cycles floor_ms = std::max(cpl, total_work / nc + (total_work % nc != 0 ? 1 : 0));
+  const power::DvsLevel* lo = lowest_level_for_makespan(floor_ms, prob);
+  if (lo == nullptr) return std::numeric_limits<double>::infinity();
+  const double powered_s = prob.deadline.value() * static_cast<double>(num_procs);
+  const double p_sleep = prob.model->sleep_power().value();
+  // Energy per cycle is not monotone below the critical level, so every
+  // reachable level is a candidate.
+  double lb = std::numeric_limits<double>::infinity();
+  for (std::size_t l = lo->index; l < prob.ladder->size(); ++l) {
+    const power::DvsLevel& lvl = prob.ladder->level(l);
+    const double busy_s = cycles_to_time(total_work, lvl.f).value();
+    const double idle_w =
+        with_ps ? std::min(p_sleep, lvl.idle.value()) : lvl.idle.value();
+    lb = std::min(lb, lvl.active.total().value() * busy_s +
+                          std::max(0.0, powered_s - busy_s) * idle_w);
+  }
+  return lb;
 }
 
 StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
@@ -187,16 +216,14 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
     n_min = lo;
   }
 
-  // ---- Phase 2: full linear search over [N_min, N_max], where N_max is
-  // the processor count beyond which the makespan cannot improve (the
-  // count S&S employs).  The scan is exhaustive because the energy curve
-  // has local minima (paper Fig 6: "a full search must be performed").
+  // ---- Phase 2: search over [N_min, N_max], where N_max is the processor
+  // count beyond which the makespan cannot improve (the count S&S
+  // employs).  The energy curve has local minima (paper Fig 6: "a full
+  // search must be performed"), so no count may be skipped on a shape
+  // argument; a count is skipped only when its energy lower bound proves
+  // it cannot be the argmin (the bound prune below).
   const std::size_t n_max = std::max(n_min, max_speedup_procs(cache, tel));
 
-  // The N evaluations are independent; fan them out over
-  // prob.search_threads workers.  Results are bit-identical at any thread
-  // count: each slot's schedule and ConfigEval depend only on its own N,
-  // and the argmin reduction below runs serially in ascending-N order.
   // Candidates are evaluated from idle-gap profiles wherever possible: the
   // energy and feasibility of a configuration depend on the schedule only
   // through its idle structure and makespan (when deadlines are global),
@@ -214,61 +241,112 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
   // serially afterwards (the store is not touched concurrently).
   std::vector<std::uint8_t> fresh(count, 0);
   std::vector<ConfigEval> evals(count);
-  // Per-slot probe records, written by slot index inside the fan-out and
-  // appended to the telemetry sink serially afterwards — the record order
-  // is therefore bit-identical at any search_threads setting.
+  // Per-slot probe records, written by slot index and appended to the
+  // telemetry sink serially afterwards — the record order is therefore
+  // bit-identical at any search_threads setting.
   std::vector<obs::SearchProbe> p2_probes(tel != nullptr ? count : 0);
   std::size_t phase2_computed = 0;
-  for (std::size_t i = 0; i < count; ++i) {
+
+  // Artifact lookup for one slot.  Only slots that are evaluated get here,
+  // so the store is consulted (and counted) exactly where a from-scratch
+  // search would run the scheduler — pruning decides on the same inputs
+  // with or without a store, which keeps schedules_computed bit-identical.
+  const auto acquire = [&](std::size_t i) {
     const std::size_t n = n_min + i;
-    if ((slots[i] = cache.schedule_ptr(n)) != nullptr)
-      ;  // memoized by a phase-1/speedup probe
-    else if (profile_ok && (profs[i] = cache.profile_lookup(n)) != nullptr)
-      ;  // memoized probe or store reuse (counted inside the cache)
-    else
-      ++phase2_computed;
-  }
+    if ((slots[i] = cache.schedule_ptr(n)) != nullptr) return;  // phase-1/speedup probe
+    if (profile_ok && (profs[i] = cache.profile_lookup(n)) != nullptr)
+      return;  // memoized probe or store reuse (counted inside the cache)
+    ++phase2_computed;
+  };
+  const auto evaluate = [&](std::size_t i) {
+    const char* action = nullptr;
+    if (slots[i]) {
+      action = "cached-schedule-eval";
+      evals[i] = evaluate_schedule_config(*slots[i], prob, with_ps);
+    } else if (!profile_ok) {
+      action = "schedule-eval";
+      c_probe_materialized.inc();
+      fresh[i] = 1;
+      slots[i] = std::make_shared<const sched::Schedule>(
+          sched::list_schedule(g, n_min + i, keys, tls_workspace()));
+      evals[i] = evaluate_schedule_config(*slots[i], prob, with_ps);
+    } else {
+      if (!profs[i]) {
+        action = "profile-eval";
+        c_probe_gap_only.inc();
+        fresh[i] = 1;
+        profs[i] = std::make_shared<const energy::GapProfile>(
+            energy::GapProfile(sched::list_schedule_gaps(g, n_min + i, keys,
+                                                         tls_workspace())));
+      } else {
+        action = "cached-profile-eval";
+      }
+      evals[i] = evaluate_profile_config(*profs[i], prob, with_ps);
+    }
+    if (tel != nullptr) {
+      obs::SearchProbe& p = p2_probes[i];
+      p.num_procs = n_min + i;
+      p.phase = "phase2";
+      p.action = action;
+      p.makespan = static_cast<std::int64_t>(slots[i] ? slots[i]->makespan()
+                                                      : profs[i]->makespan());
+      p.feasible = evals[i].feasible ? 1 : 0;
+      if (evals[i].feasible) {
+        p.level_index = static_cast<std::int64_t>(evals[i].level_index);
+        p.energy_j = evals[i].breakdown.total().value();
+      }
+    }
+  };
+
   {
     obs::Span phase2_span("lamps/phase2");
-    run_indexed(prob.search_threads, count, [&](std::size_t i) {
-      const char* action = nullptr;
-      if (slots[i]) {
-        action = "cached-schedule-eval";
-        evals[i] = evaluate_schedule_config(*slots[i], prob, with_ps);
-      } else if (!profile_ok) {
-        action = "schedule-eval";
-        c_probe_materialized.inc();
-        fresh[i] = 1;
-        slots[i] = std::make_shared<const sched::Schedule>(
-            sched::list_schedule(g, n_min + i, keys, tls_workspace()));
-        evals[i] = evaluate_schedule_config(*slots[i], prob, with_ps);
-      } else {
-        if (!profs[i]) {
-          action = "profile-eval";
-          c_probe_gap_only.inc();
-          fresh[i] = 1;
-          profs[i] = std::make_shared<const energy::GapProfile>(
-              energy::GapProfile(sched::list_schedule_gaps(g, n_min + i, keys,
-                                                           tls_workspace())));
-        } else {
-          action = "cached-profile-eval";
-        }
-        evals[i] = evaluate_profile_config(*profs[i], prob, with_ps);
-      }
-      if (tel != nullptr) {
-        obs::SearchProbe& p = p2_probes[i];
-        p.num_procs = n_min + i;
-        p.phase = "phase2";
-        p.action = action;
-        p.makespan = static_cast<std::int64_t>(slots[i] ? slots[i]->makespan()
-                                                        : profs[i]->makespan());
-        p.feasible = evals[i].feasible ? 1 : 0;
-        if (evals[i].feasible) {
-          p.level_index = static_cast<std::int64_t>(evals[i].level_index);
-          p.energy_j = evals[i].breakdown.total().value();
+    // Bound prune.  At N_max the makespan has bottomed out at the critical
+    // path, so N_max runs at the slowest level any count can reach; it is
+    // evaluated first as the incumbent E*.  Every other N whose lower
+    // bound exceeds E* by more than a 1e-9 relative margin has energy
+    // strictly above E*, so it can be neither the minimum nor its
+    // smallest-N tie and is never scheduled.  The bound and the evaluator
+    // sum in different orders; the margin keeps rounding from pruning the
+    // true argmin.  Both sides depend only on the problem, never on the
+    // thread count or on an attached store.
+    const std::size_t last = count - 1;
+    acquire(last);
+    evaluate(last);
+    const double cutoff = evals[last].feasible
+                              ? evals[last].breakdown.total().value() * (1.0 + 1e-9)
+                              : std::numeric_limits<double>::infinity();
+    std::vector<std::size_t> todo;
+    todo.reserve(last);
+    for (std::size_t i = 0; i < last; ++i) {
+      if (bounds_ok) {
+        // Past the ASAP width every count schedules like the width one
+        // (schedule_cache.hpp), so charging at most width processors keeps
+        // the bound below whichever artifact the slot would evaluate.
+        const double lb = energy_lower_bound(prob, total_work, cpl,
+                                             std::min(n_min + i, width), with_ps);
+        if (lb > cutoff) {
+          c_bound_pruned.inc();
+          if (tel != nullptr) {
+            obs::SearchProbe& p = p2_probes[i];
+            p.num_procs = n_min + i;
+            p.phase = "phase2";
+            p.action = "bound-pruned";
+            p.energy_j = lb;
+          }
+          continue;
         }
       }
-    });
+      acquire(i);
+      todo.push_back(i);
+    }
+
+    // The surviving evaluations are independent; fan them out over
+    // prob.search_threads workers.  Results are bit-identical at any
+    // thread count: each slot's schedule and ConfigEval depend only on its
+    // own N, and the argmin reduction below runs serially in ascending-N
+    // order.
+    run_indexed(prob.search_threads, todo.size(),
+                [&](std::size_t k) { evaluate(todo[k]); });
   }
 
   // Publish fan-out results serially: the cache (and any attached store)
@@ -283,7 +361,7 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
 
   std::size_t best_i = count;  // sentinel: none feasible yet
   for (std::size_t i = 0; i < count; ++i) {
-    if (!evals[i].feasible) continue;  // this N infeasible (EDF anomaly)
+    if (!evals[i].feasible) continue;  // infeasible (EDF anomaly) or pruned
     if (best_i == count ||
         evals[i].breakdown.total() < evals[best_i].breakdown.total())
       best_i = i;
@@ -318,6 +396,14 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
 StrategyResult lamps_schedule(const Problem& prob) { return lamps_impl(prob, false); }
 
 StrategyResult lamps_schedule_ps(const Problem& prob) { return lamps_impl(prob, true); }
+
+Joules processor_count_energy_bound(const Problem& prob, std::size_t num_procs,
+                                    bool with_ps) {
+  const graph::TaskGraph& g = *prob.graph;
+  if (g.num_tasks() == 0 || num_procs == 0) return Joules{0.0};
+  return Joules{energy_lower_bound(prob, g.total_work(), graph::critical_path_length(g),
+                                   num_procs, with_ps)};
+}
 
 std::vector<SweepPoint> processor_sweep(const Problem& prob, std::size_t max_procs,
                                         bool with_ps) {

@@ -46,15 +46,13 @@ energy::EnergyBreakdown stretched_energy(const sched::Schedule& s, const power::
   return energy::evaluate_energy(s, lvl, prob.deadline, sleep, energy::PsOptions{});
 }
 
-namespace {
-
-/// lowest_feasible_level for the global-deadline-only case, where the
-/// binding constraint is the makespan alone.  Same epsilon policy.
 const power::DvsLevel* lowest_level_for_makespan(Cycles makespan, const Problem& prob) {
   const Hertz f_min = required_frequency(makespan, prob.deadline);
   if (f_min.value() <= 0.0) return &prob.ladder->level(0);
   return prob.ladder->lowest_level_at_least(Hertz{f_min.value() * (1.0 - 1e-12)});
 }
+
+namespace {
 
 /// Active-only energy of the profiled schedule at `lvl`, composed through
 /// the very same per-processor charge_active sequence

@@ -27,6 +27,12 @@ namespace lamps::core {
 [[nodiscard]] const power::DvsLevel* lowest_feasible_level(const sched::Schedule& s,
                                                            const Problem& prob);
 
+/// lowest_feasible_level for a single global deadline, where the binding
+/// constraint is the makespan alone (same epsilon policy).  Monotone in
+/// `makespan`: a longer schedule never gets a slower level.
+[[nodiscard]] const power::DvsLevel* lowest_level_for_makespan(Cycles makespan,
+                                                               const Problem& prob);
+
 /// Energy of `s` run entirely at `lvl` with all employed processors powered
 /// until the deadline (no shutdown) — the S&S/LAMPS accounting.
 [[nodiscard]] energy::EnergyBreakdown stretched_energy(const sched::Schedule& s,

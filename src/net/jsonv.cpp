@@ -75,9 +75,16 @@ class JsonParser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Each level recurses once; the cap bounds the stack.  A throw
+        // abandons the parser, so depth_ needs no unwinding.
+        if (depth_ == JsonValue::kMaxDepth)
+          fail(pos_, "nesting deeper than " + std::to_string(JsonValue::kMaxDepth) + " levels");
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::kString;
@@ -263,6 +270,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_{0};
+  std::size_t depth_{0};  ///< arrays/objects currently open
 };
 
 JsonValue JsonValue::parse(std::string_view text) { return JsonParser(text).run(); }

@@ -24,9 +24,16 @@ class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
+  /// Deepest array/object nesting parse() accepts.  Protocol documents
+  /// nest at most 2 levels; the cap keeps the recursive descent (and the
+  /// value's recursive destruction) off the end of the stack whatever a
+  /// client sends.
+  static constexpr std::size_t kMaxDepth = 64;
+
   /// Parses exactly one JSON document (leading/trailing whitespace
   /// allowed, anything else after it is an error).  Throws
-  /// InputError(kJsonParse) with a byte offset in the context.
+  /// InputError(kJsonParse) with a byte offset in the context, also when
+  /// arrays/objects nest deeper than kMaxDepth.
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
   [[nodiscard]] Kind kind() const { return kind_; }

@@ -345,7 +345,7 @@ bool Server::handle_admin_line(const ConnPtr& conn, const std::string& line) {
   std::optional<AdminRequest> admin;
   try {
     admin = parse_admin_request(line);
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     // Admin-shaped but broken ({"cmd":"bogus"}): a bad request, but one
     // that never reaches admission.
     metrics().requests_bad.inc();
@@ -507,16 +507,26 @@ void Server::handle_line(const ConnPtr& conn, const std::string& line) {
   flight->arrival_ns = obs::monotonic_ns();
 
   std::optional<ParsedRequest> parsed;
+  // Every parse failure is the client's: typed errors carry their own
+  // message, and anything else a parser throws (an allocation failure on
+  // a hostile size, a library length check) must not reach
+  // std::terminate on the loop thread.
+  std::string parse_error;
   try {
     parsed.emplace(parse_schedule_request(line, model_));
   } catch (const Error& e) {
+    parse_error = e.what();
+  } catch (const std::exception& e) {
+    parse_error = std::string("malformed request: ") + e.what();
+  }
+  if (!parsed) {
     metrics().requests_bad.inc();
     flight->outcome = obs::FlightOutcome::kBadRequest;
     flight->finish_ns = obs::monotonic_ns();
     obs::LogEvent(obs::LogSeverity::kWarn, "serve.bad_request")
         .u64("req", flight->request_id)
-        .str("error", e.what());
-    enqueue_ready(conn, error_response("null", "bad_request", e.what()),
+        .str("error", parse_error);
+    enqueue_ready(conn, error_response("null", "bad_request", parse_error),
                   std::move(flight));
     return;
   }

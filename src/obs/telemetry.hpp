@@ -1,8 +1,8 @@
 // Search-telemetry record for the configuration searches (LAMPS,
 // LAMPS+PS, S&S, S&S+PS): every probed processor count, why it was
 // decided the way it was (Graham-bound short-circuit, gap-only profile
-// probe, full schedule, cache reuse), the verdict, and the chosen
-// configuration with its final energy breakdown.
+// probe, full schedule, cache reuse, energy-bound prune), the verdict,
+// and the chosen configuration with its final energy breakdown.
 //
 // Recording is opt-in and observation-only: a strategy records iff the
 // caller hangs a SearchTelemetry off core::Problem::telemetry, and the
@@ -38,6 +38,8 @@ struct SearchProbe {
   ///   "cached-profile-eval"  phase-2 energy eval of a memoized gap profile
   ///   "profile-eval"        phase-2 energy eval of a fresh gap-only run
   ///   "schedule-eval"       phase-2 energy eval of a fresh full schedule
+  ///   "bound-pruned"        phase-2 count skipped unscheduled: its energy
+  ///                         lower bound exceeds the N_max incumbent's energy
   ///   "materialize"         winner's schedule re-run for placements
   const char* action{""};
   /// Makespan in cycles; -1 when the probe was short-circuited without one.
@@ -47,7 +49,8 @@ struct SearchProbe {
   int feasible{-1};
   /// Chosen DVS level index for evaluated probes; -1 otherwise.
   std::int64_t level_index{-1};
-  /// Total energy for evaluated feasible probes; < 0 otherwise.
+  /// Total energy for evaluated feasible probes, the lower bound that
+  /// exceeded the incumbent for "bound-pruned" probes; < 0 otherwise.
   double energy_j{-1.0};
   /// True on the probe the search finally selected.
   bool chosen{false};

@@ -199,11 +199,14 @@ bool ListScheduleWorkspace::rank_image_matches(const graph::TaskGraph& g) const 
   const std::span<const graph::TaskId> stgt = g.succ_targets();
   // The predecessor CSR is derived from the same edge set, so matching
   // successor arrays imply matching initial missing-predecessor counts.
+  // An empty array (an edgeless graph) may have a null data pointer,
+  // which memcmp must not be given even for zero bytes.
+  const auto same_bytes = [](const auto& mirror, const auto& span) {
+    return span.empty() || std::memcmp(mirror.data(), span.data(), span.size_bytes()) == 0;
+  };
   return mirror_weights_.size() == w.size() && mirror_soff_.size() == soff.size() &&
-         mirror_stgt_.size() == stgt.size() &&
-         std::memcmp(mirror_weights_.data(), w.data(), w.size_bytes()) == 0 &&
-         std::memcmp(mirror_soff_.data(), soff.data(), soff.size_bytes()) == 0 &&
-         std::memcmp(mirror_stgt_.data(), stgt.data(), stgt.size_bytes()) == 0;
+         mirror_stgt_.size() == stgt.size() && same_bytes(mirror_weights_, w) &&
+         same_bytes(mirror_soff_, soff) && same_bytes(mirror_stgt_, stgt);
 }
 
 void ListScheduleWorkspace::build_rank_image(const graph::TaskGraph& g) {

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -76,8 +77,12 @@ graph::TaskGraph read_stg(std::istream& is, const ParseOptions& opts) {
       if (tokens.size() != 1)
         fail(source, line_no, "header line must hold exactly the task count");
       n = require_u64(source, line_no, tokens[0], "task count");
+      // Task ids are 32-bit, and n + 2 (the dummies) must not wrap.  Task
+      // storage grows with the lines actually read, never from the
+      // header alone.
+      if (n > std::numeric_limits<graph::TaskId>::max() - 2)
+        fail(source, line_no, "task count " + tokens[0] + " exceeds the 32-bit task id range");
       have_count = true;
-      tasks.reserve(n + 2);
       continue;
     }
     if (tasks.size() >= n + 2)

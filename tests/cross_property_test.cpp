@@ -38,6 +38,10 @@ core::Problem make_problem(const graph::TaskGraph& g, double factor) {
 struct StructuredCase {
   const char* name;
   graph::TaskGraph (*make)();
+
+  // gtest's default byte dump of this struct would print the pointers,
+  // whose addresses change from run to run, into the listed test names.
+  friend void PrintTo(const StructuredCase& c, std::ostream* os) { *os << c.name; }
 };
 
 graph::TaskGraph make_gauss() {

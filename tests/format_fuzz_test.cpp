@@ -138,7 +138,7 @@ TEST_P(MalformedStg, RejectedWithTypedErrorAndLineContext) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, MalformedStg,
     ::testing::ValuesIn(std::vector<BadStgCase>{
-        {"empty", "", ErrorCode::kStgParse, "bad.stg", "empty input"},
+        {"empty_document", "", ErrorCode::kStgParse, "bad.stg", "empty input"},
         {"garbage_count", "xyz\n", ErrorCode::kStgParse, "bad.stg:1",
          "task count is not a non-negative integer"},
         {"count_with_trailing", "1 2 3\n", ErrorCode::kStgParse, "bad.stg:1",
@@ -157,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(
          "bad.stg:3", "expected 2 predecessor ids, found 1"},
         {"duplicate_pred", "2\n0 0 0\n1 5 1 0\n2 5 2 1 1\n3 0 1 2\n",
          ErrorCode::kStgParse, "bad.stg:4", "duplicate predecessor 1"},
-        {"self_loop", "1\n0 0 0\n1 5 1 1\n2 0 1 1\n", ErrorCode::kStgParse, "bad.stg:3",
-         "lists itself as predecessor"},
+        {"self_predecessor", "1\n0 0 0\n1 5 1 1\n2 0 1 1\n", ErrorCode::kStgParse,
+         "bad.stg:3", "lists itself as predecessor"},
         {"dangling_pred", "1\n0 0 0\n1 5 1 7\n2 0 1 1\n", ErrorCode::kStgParse,
          "bad.stg:3", "dangling edge: predecessor 7"},
         {"edge_from_dummy_exit", "2\n0 0 0\n1 5 1 3\n2 5 1 1\n3 0 1 2\n",
@@ -167,8 +167,8 @@ INSTANTIATE_TEST_SUITE_P(
          "expected 4 task lines"},
         {"too_many_lines", "1\n0 0 0\n1 5 1 0\n2 0 1 1\n3 0 1 2\n", ErrorCode::kStgParse,
          "bad.stg:5", "more task lines than declared"},
-        {"cycle", "2\n0 0 0\n1 5 1 2\n2 5 1 1\n3 0 1 2\n", ErrorCode::kGraphStructure,
-         "bad.stg", "cycle"},
+        {"dependency_cycle", "2\n0 0 0\n1 5 1 2\n2 5 1 1\n3 0 1 2\n",
+         ErrorCode::kGraphStructure, "bad.stg", "cycle"},
     }),
     [](const auto& pinfo) { return std::string(pinfo.param.label); });
 

@@ -98,6 +98,31 @@ TEST(JsonParser, RejectsMalformedDocuments) {
   }
 }
 
+// A line of nothing but '[' used to recurse once per byte and overflow
+// the serving loop's stack.  Depth kMaxDepth still parses; one more level
+// is a typed parse error, however long the run of brackets.
+TEST(JsonParser, NestingIsCappedAtMaxDepth) {
+  const std::size_t max = net::JsonValue::kMaxDepth;
+  const std::string ok = std::string(max, '[') + std::string(max, ']');
+  EXPECT_TRUE(net::JsonValue::parse(ok).is_array());
+  std::string objects;
+  for (std::size_t i = 0; i < max; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(max, '}');
+  EXPECT_TRUE(net::JsonValue::parse(objects).is_object());
+
+  for (const std::string& deep :
+       {std::string(max + 1, '[') + std::string(max + 1, ']'), "{\"a\":" + ok + "}",
+        std::string(2 << 20, '[')}) {
+    try {
+      (void)net::JsonValue::parse(deep);
+      ADD_FAILURE() << "accepted nesting deeper than kMaxDepth";
+    } catch (const InputError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kJsonParse);
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos);
+    }
+  }
+}
+
 TEST(JsonParser, TypeMismatchesThrow) {
   const net::JsonValue doc = net::JsonValue::parse(R"({"n":1,"s":"x"})");
   EXPECT_THROW((void)doc.get("n")->as_string(), InputError);

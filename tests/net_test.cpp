@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,6 +39,7 @@
 #include "stg/format.hpp"
 #include "stg/random_gen.hpp"
 #include "util/errors.hpp"
+#include "util/faultinject.hpp"
 #include "util/json.hpp"
 #include "util/signal.hpp"
 #include "util/socket.hpp"
@@ -104,6 +106,24 @@ TEST(Protocol, RejectsMalformedRequests) {
     os << ",\"deadline_factor\":-1}";
     EXPECT_THROW((void)parse_schedule_request(os.str(), model), InputError);
   }
+}
+
+TEST(Protocol, RejectsUnitsThatDoNotFitWholeCycles) {
+  const power::PowerModel model;
+  const auto with_unit = [](const std::string& unit) {
+    return R"({"stg":"1\n0 0 0\n1 10 1 0\n2 0 1 1\n","unit":)" + unit + "}";
+  };
+  for (const char* unit : {"0.5", "1.5", "1e30", "18446744073709551616", "1e19"}) {
+    try {
+      (void)parse_schedule_request(with_unit(unit), model);
+      ADD_FAILURE() << "accepted unit " << unit;
+    } catch (const InputError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kConfig) << unit;
+    }
+  }
+  // The largest unit the weight still fits under is accepted exactly.
+  const ParsedRequest p = parse_schedule_request(with_unit("1e18"), model);
+  EXPECT_EQ(p.request.graph.total_work(), Cycles{10'000'000'000'000'000'000U});
 }
 
 TEST(Protocol, ResultJsonIsFlatAndExtractableFromResponses) {
@@ -343,10 +363,58 @@ TEST(ServeIntegration, PipelinedRequestsAnswerInOrderIncludingErrors) {
   server.wait();
 }
 
+// Request lines that used to take the daemon down (std::terminate from
+// an untyped parse exception, or a stack overflow in the JSON parser).
+// Each must come back as a typed bad_request, and the same connection
+// must keep serving afterwards.
+TEST(ServeIntegration, HostileRequestLinesGetBadRequestAndServingContinues) {
+  ServerConfig cfg;
+  cfg.threads = 2;
+  Server server(cfg);
+  server.start();
+
+  const std::string tiny = R"("1\n0 0 0\n1 10 1 0\n2 0 1 1\n")";
+  const std::string hostile[] = {
+      R"({"stg":)" + tiny + R"(,"unit":1e19})",  // weight x unit overflows
+      R"({"stg":"2\n0 0 0\n1 10 1 0\n2 10 1 0\n3 0 2 1 2\n","unit":1e18})",  // total work
+      R"({"stg":)" + tiny + R"(,"unit":1e30})",  // unit beyond 64 bits
+      R"({"stg":)" + tiny + R"(,"unit":1.5})",   // fractional unit
+      R"({"stg":"18446744073709551613\n0 0 0\n"})",  // header count past any task id
+      std::string(2 << 20, '['),                      // nesting past the stack
+  };
+  const std::string valid = request_line(small_stg(21), "LAMPS+PS", "\"after\"");
+
+  const Socket sock = connect_tcp(server.port());
+  LineReader reader(sock.fd());
+  for (const std::string& line : hostile) {
+    SCOPED_TRACE(line.substr(0, 72));
+    ASSERT_TRUE(sock.send_all(line + "\n"));
+    std::string resp;
+    ASSERT_EQ(reader.read_line(resp), LineReader::Status::kLine);
+    const JsonValue bad = JsonValue::parse(resp);
+    EXPECT_FALSE(bad.get("ok")->as_bool());
+    EXPECT_EQ(bad.get_string("error", ""), "bad_request") << resp;
+
+    ASSERT_TRUE(sock.send_all(valid));
+    ASSERT_EQ(reader.read_line(resp), LineReader::Status::kLine);
+    const JsonValue good = JsonValue::parse(resp);
+    EXPECT_TRUE(good.get("ok")->as_bool()) << resp;
+    EXPECT_EQ(good.get("id")->as_string(), "after");
+  }
+
+  server.request_drain();
+  server.wait();
+}
+
 TEST(ServeIntegration, OverloadShedsWithExplicitBackpressureResponse) {
   ServerConfig cfg;
   cfg.threads = 1;
   cfg.max_pending = 1;
+  // Every compute first sleeps 200 ms (the chaos dispatch delay, drawn with
+  // probability one).  A 24-task compute alone can finish before the loop
+  // has parsed the next line, which let all ten through now and then.
+  cfg.chaos = std::make_shared<FaultInjector>(
+      parse_fault_spec("dispatch_delay=1,dispatch_delay_ms=200"));
   Server server(cfg);
   server.start();
 

@@ -306,6 +306,12 @@ TEST(TelemetryTest, GoldenJson) {
   p2.energy_j = 0.25;
   p2.chosen = true;
   tel.probes.push_back(p2);
+  SearchProbe p3;
+  p3.num_procs = 4;
+  p3.phase = "phase2";
+  p3.action = "bound-pruned";
+  p3.energy_j = 0.5;  // the lower bound that beat the incumbent
+  tel.probes.push_back(p3);
 
   std::ostringstream ss;
   write_telemetry_json(ss, {tel});
@@ -322,7 +328,10 @@ TEST(TelemetryTest, GoldenJson) {
       "\"chosen\": false},\n"
       "  {\"procs\": 3, \"phase\": \"phase2\", \"action\": \"profile-eval\", "
       "\"makespan\": 1000, \"feasible\": 1, \"level\": 7, \"energy_j\": 0.25, "
-      "\"chosen\": true}\n"
+      "\"chosen\": true},\n"
+      "  {\"procs\": 4, \"phase\": \"phase2\", \"action\": \"bound-pruned\", "
+      "\"makespan\": -1, \"feasible\": -1, \"level\": -1, \"energy_j\": 0.5, "
+      "\"chosen\": false}\n"
       " ]}\n"
       "]\n";
   EXPECT_EQ(ss.str(), golden);

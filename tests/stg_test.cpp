@@ -234,6 +234,10 @@ TEST(RandomGen, ExtremeDensitySaturates) {
 struct AppCase {
   const char* name;
   AppGraphSpec (*spec)();
+
+  // gtest's default byte dump of this struct would print the pointers,
+  // whose addresses change from run to run, into the listed test names.
+  friend void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
 };
 
 class AppSynthesis : public ::testing::TestWithParam<AppCase> {};
