@@ -38,10 +38,7 @@ int main(int argc, char** argv) {
                  &trace_path);
   if (!cli.parse(argc, argv, std::cerr)) return 1;
 
-  graph::TaskGraph g = [&] {
-    const graph::TaskGraph raw = stg::read_stg_file(file);
-    return graph::scale_weights(raw, static_cast<Cycles>(unit));
-  }();
+  graph::TaskGraph g = graph::scale_weights_by_unit(stg::read_stg_file(file), unit, file);
 
   const power::PowerModel model;
   const power::DvsLadder ladder(model);

@@ -13,8 +13,11 @@
 // of a configuration search actually depend on D: the Graham-bound
 // feasibility arithmetic and the O(P log G) profile energy evaluations.
 //
-// ProfileStore holds those deadline-invariant artifacts; ScheduleBank maps
-// a graph-structure digest (weights + CSR + explicit deadlines + policy,
+// ProfileStore holds those deadline-invariant artifacts.  It is the one
+// place every configuration search keeps them: a cold search works
+// through a private store its ScheduleCache owns, and serve's ScheduleBank
+// only decides which store a search starts from.  The bank maps a
+// graph-structure digest (weights + CSR + explicit deadlines + policy,
 // global deadline and strategy excluded — see
 // core::service_request_structure_digest) to a ProfileStore with LRU
 // eviction.  A request leases its store for the duration of the strategy
@@ -22,12 +25,13 @@
 // structures proceed in parallel) while the bank mutex is only ever held
 // for map/LRU bookkeeping.
 //
-// Results are bit-identical with and without a store — the store can only
-// be consulted where the from-scratch path would have recomputed the very
-// same artifact (see ScheduleCache for the accounting that keeps even the
-// reported schedules_computed identical).  Callers must not attach a store
-// when the graph has explicit per-task deadlines (there the EDF ranking
-// genuinely depends on D); run_service_request enforces that gate.
+// Results, schedules_computed included, are bit-identical with and
+// without the bank: by the acquisition rule in core/schedule_cache.hpp an
+// artifact counts the first time a search acquires it, whether the store
+// already had it or the scheduler ran for it.  Callers must not attach a
+// store when the graph has explicit per-task deadlines (there the EDF
+// ranking genuinely depends on D); run_service_request enforces that
+// gate.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +46,9 @@
 namespace lamps::core {
 
 /// Deadline-invariant scheduling artifacts of one (graph structure,
-/// policy): schedules and idle-gap profiles keyed by processor count.
-/// Plain data, externally synchronized (ScheduleBank's entry lock).
+/// policy): schedules and idle-gap profiles keyed by clamped processor
+/// count (core/schedule_cache.hpp).  Plain data, externally synchronized
+/// (ScheduleBank's entry lock, or a ScheduleCache owning it privately).
 struct ProfileStore {
   std::unordered_map<std::size_t, std::shared_ptr<const sched::Schedule>> schedules;
   std::unordered_map<std::size_t, std::shared_ptr<const energy::GapProfile>> profiles;

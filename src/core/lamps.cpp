@@ -35,16 +35,6 @@ obs::Counter& c_probe_materialized = obs::counter("search.probe_materialized");
 // exceeds the incumbent (never scheduled, never looked up).
 obs::Counter& c_bound_pruned = obs::counter("search.bound_pruned");
 
-/// One scheduling workspace per thread, shared by every configuration
-/// search that runs on it (phase 1 + speedup via the ScheduleCache, the
-/// phase-2 fan-out, processor_sweep).  Persisting it across calls means
-/// the priority ranking is re-sorted only when the keys actually change,
-/// and the scratch buffers stop being reallocated per call.
-sched::ListScheduleWorkspace& tls_workspace() {
-  thread_local sched::ListScheduleWorkspace ws;
-  return ws;
-}
-
 /// Feasibility at the maximum frequency, honoring explicit deadlines too.
 bool feasible_at_fmax(const sched::Schedule& s, const Problem& prob) {
   const Hertz f_min = min_feasible_frequency(s, *prob.graph, prob.deadline);
@@ -80,11 +70,10 @@ void run_indexed(std::size_t threads, std::size_t count,
 /// processor_count_energy_bound.
 double energy_lower_bound(const Problem& prob, Cycles total_work, Cycles cpl,
                           std::size_t num_procs, bool with_ps) {
-  const auto nc = static_cast<Cycles>(num_procs);
   // Graham's floor on any num_procs-processor makespan, and the slowest
   // level that floor allows: the evaluator's level is never slower.
-  const Cycles floor_ms = std::max(cpl, total_work / nc + (total_work % nc != 0 ? 1 : 0));
-  const power::DvsLevel* lo = lowest_level_for_makespan(floor_ms, prob);
+  const power::DvsLevel* lo =
+      lowest_level_for_makespan(graham_bracket(total_work, cpl, num_procs).lower, prob);
   if (lo == nullptr) return std::numeric_limits<double>::infinity();
   const double powered_s = prob.deadline.value() * static_cast<double>(num_procs);
   const double p_sleep = prob.model->sleep_power().value();
@@ -115,13 +104,11 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
 
   const auto keys = problem_priority_keys(prob);
   const Cycles deadline_cycles = prob.deadline_cycles_at_fmax();
-  const std::size_t width = std::max<std::size_t>(
-      1, std::min(g.num_tasks(), graph::asap_max_concurrency(g)));
   // An attached ProfileStore (serve's ScheduleBank lease) supplies
   // deadline-invariant schedules/profiles from earlier requests on the
   // same graph structure; results and even schedules_computed stay
   // bit-identical to a from-scratch run (see schedule_cache.hpp).
-  ScheduleCache cache(g, keys, width, &tls_workspace(), prob.profile_store);
+  ScheduleCache cache(g, keys, prob.profile_store);
 
   // ---- Phase 1: binary search for the minimal feasible processor count
   // on [N_lwb = ceil(W / D), N_upb = |V|].  The probe sequence is the
@@ -138,12 +125,12 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
   // Probe short-circuit: for a single global deadline the feasibility
   // predicate is `required_frequency(makespan, D) <= f_max * (1 + 1e-12)`,
   // which is monotone non-increasing in the (integer) makespan.  The
-  // list scheduler is greedy/work-conserving, so Graham's bound applies:
-  //   max(CPL, ceil(W/n))  <=  makespan(n)  <=  ceil((W + (n-1)*CPL) / n).
-  // Evaluating the *original* predicate at those integer bounds therefore
-  // decides most probes without scheduling at all, with a boolean that is
-  // identical to what the real schedule would produce; only probes whose
-  // deadline falls between the two bounds compute a schedule.
+  // list scheduler is greedy/work-conserving, so Graham's bracket
+  // (graham_bracket) applies.  Evaluating the *original* predicate at its
+  // integer bounds therefore decides most probes without scheduling at
+  // all, with a boolean that is identical to what the real schedule would
+  // produce; only probes whose deadline falls between the two bounds
+  // compute a schedule.
   const bool bounds_ok = !g.has_explicit_deadlines() && prob.deadline.value() > 0.0;
   const Cycles total_work = g.total_work();
   const Cycles cpl = bounds_ok ? graph::critical_path_length(g) : 0;
@@ -164,19 +151,13 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
   };
   const auto feasible_with = [&](std::size_t n) {
     if (bounds_ok) {
-      constexpr Cycles kMax = std::numeric_limits<Cycles>::max();
-      const auto nc = static_cast<Cycles>(n);
-      if (nc == 1 || cpl <= (kMax - total_work) / (nc - 1)) {
-        const Cycles upper = (total_work + (nc - 1) * cpl + (nc - 1)) / nc;
-        if (feasible_ms(upper)) {
-          c_graham_upper.inc();
-          record_p1(n, "graham-upper", -1, true);
-          return true;
-        }
+      const MakespanBracket bracket = graham_bracket(total_work, cpl, n);
+      if (bracket.upper && feasible_ms(*bracket.upper)) {
+        c_graham_upper.inc();
+        record_p1(n, "graham-upper", -1, true);
+        return true;
       }
-      Cycles lower = cpl;
-      if (total_work <= kMax - nc) lower = std::max(lower, (total_work + nc - 1) / nc);
-      if (!feasible_ms(lower)) {
+      if (!feasible_ms(bracket.lower)) {
         c_graham_lower.inc();
         record_p1(n, "graham-lower", -1, false);
         return false;
@@ -237,26 +218,22 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
   const std::size_t count = n_max - n_min + 1;
   std::vector<std::shared_ptr<const sched::Schedule>> slots(count);
   std::vector<std::shared_ptr<const energy::GapProfile>> profs(count);
-  // Slots computed fresh inside the fan-out; published to the cache/store
-  // serially afterwards (the store is not touched concurrently).
-  std::vector<std::uint8_t> fresh(count, 0);
   std::vector<ConfigEval> evals(count);
   // Per-slot probe records, written by slot index and appended to the
   // telemetry sink serially afterwards — the record order is therefore
   // bit-identical at any search_threads setting.
   std::vector<obs::SearchProbe> p2_probes(tel != nullptr ? count : 0);
-  std::size_t phase2_computed = 0;
 
-  // Artifact lookup for one slot.  Only slots that are evaluated get here,
-  // so the store is consulted (and counted) exactly where a from-scratch
-  // search would run the scheduler — pruning decides on the same inputs
-  // with or without a store, which keeps schedules_computed bit-identical.
+  // Artifact lookup for one slot: a schedule or profile this search
+  // already holds, else a store profile (counted inside the cache); a slot
+  // left empty is computed fresh by the fan-out and counted when adopted.
+  // Only slots that are evaluated get here, and pruning decides on the
+  // same inputs with or without a store, so schedules_computed stays
+  // bit-identical.
   const auto acquire = [&](std::size_t i) {
     const std::size_t n = n_min + i;
-    if ((slots[i] = cache.schedule_ptr(n)) != nullptr) return;  // phase-1/speedup probe
-    if (profile_ok && (profs[i] = cache.profile_lookup(n)) != nullptr)
-      return;  // memoized probe or store reuse (counted inside the cache)
-    ++phase2_computed;
+    if ((slots[i] = cache.schedule_ptr(n)) == nullptr && profile_ok)
+      profs[i] = cache.profile_lookup(n);
   };
   const auto evaluate = [&](std::size_t i) {
     const char* action = nullptr;
@@ -266,7 +243,6 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
     } else if (!profile_ok) {
       action = "schedule-eval";
       c_probe_materialized.inc();
-      fresh[i] = 1;
       slots[i] = std::make_shared<const sched::Schedule>(
           sched::list_schedule(g, n_min + i, keys, tls_workspace()));
       evals[i] = evaluate_schedule_config(*slots[i], prob, with_ps);
@@ -274,7 +250,6 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
       if (!profs[i]) {
         action = "profile-eval";
         c_probe_gap_only.inc();
-        fresh[i] = 1;
         profs[i] = std::make_shared<const energy::GapProfile>(
             energy::GapProfile(sched::list_schedule_gaps(g, n_min + i, keys,
                                                          tls_workspace())));
@@ -323,7 +298,7 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
         // (schedule_cache.hpp), so charging at most width processors keeps
         // the bound below whichever artifact the slot would evaluate.
         const double lb = energy_lower_bound(prob, total_work, cpl,
-                                             std::min(n_min + i, width), with_ps);
+                                             std::min(n_min + i, cache.width()), with_ps);
         if (lb > cutoff) {
           c_bound_pruned.inc();
           if (tel != nullptr) {
@@ -349,14 +324,14 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
                 [&](std::size_t k) { evaluate(todo[k]); });
   }
 
-  // Publish fan-out results serially: the cache (and any attached store)
-  // is single-threaded by contract.
+  // Publish the fan-out's fresh artifacts serially (the cache and its
+  // store are single-threaded by contract); adopt skips, uncounted, what
+  // the search already held.
   for (std::size_t i = 0; i < count; ++i) {
-    if (!fresh[i]) continue;
     if (slots[i])
-      cache.adopt_schedule(n_min + i, slots[i]);
-    else
-      cache.adopt_profile(n_min + i, profs[i]);
+      cache.adopt(n_min + i, slots[i]);
+    else if (profs[i])
+      cache.adopt(n_min + i, profs[i]);
   }
 
   std::size_t best_i = count;  // sentinel: none feasible yet
@@ -374,16 +349,15 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
     best.completion = evals[best_i].completion;
     if (tel != nullptr) p2_probes[best_i].chosen = true;
     if (!slots[best_i]) {
-      // Winner materialization: a store-held schedule short-circuits the
-      // re-run; either way this stays uncounted, like the from-scratch
-      // search's materialization re-run.
+      // Winner materialization, free under the acquisition rule: the
+      // store's schedule when it has one, else one more scheduler run.
       obs::Span mat_span("lamps/materialize");
       c_probe_materialized.inc();
       slots[best_i] = cache.materialize(n_min + best_i);
     }
     best.schedule = *slots[best_i];
   }
-  best.schedules_computed = cache.computed() + phase2_computed;
+  best.schedules_computed = cache.computed();
   if (tel != nullptr) {
     tel->probes.insert(tel->probes.end(), p2_probes.begin(), p2_probes.end());
     fill_telemetry_summary(*tel, best);

@@ -91,8 +91,10 @@ struct StrategyResult {
   std::optional<sched::Schedule> schedule;
   /// Wall-clock completion time of the last task at the chosen level.
   Seconds completion{0.0};
-  /// Number of list-scheduling invocations performed (cost diagnostics,
-  /// paper section 4.2's T_LAMPS discussion).
+  /// Scheduling work the search required (cost diagnostics, paper section
+  /// 4.2's T_LAMPS discussion).  For the configuration searches, the
+  /// schedules and gap profiles acquired, by the rule in
+  /// core/schedule_cache.hpp.
   std::size_t schedules_computed{0};
 
   [[nodiscard]] Joules energy() const { return breakdown.total(); }

@@ -1,8 +1,9 @@
 #include "core/schedule_cache.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 #include <utility>
 
+#include "graph/analysis.hpp"
 #include "obs/metrics.hpp"
 
 namespace lamps::core {
@@ -10,7 +11,8 @@ namespace lamps::core {
 namespace {
 
 // Cache traffic of the configuration searches (docs/observability.md).
-// store_* counters track the incremental-rescheduling reuse path.
+// store_* counters track artifacts found in the store that this search
+// had not yet acquired (the incremental-rescheduling reuse path).
 obs::Counter& c_schedule_hit = obs::counter("schedule_cache.schedule_hit");
 obs::Counter& c_schedule_miss = obs::counter("schedule_cache.schedule_miss");
 obs::Counter& c_profile_hit = obs::counter("schedule_cache.profile_hit");
@@ -21,132 +23,119 @@ obs::Counter& c_store_profile_hit = obs::counter("schedule_cache.store_profile_h
 
 }  // namespace
 
+sched::ListScheduleWorkspace& tls_workspace() {
+  thread_local sched::ListScheduleWorkspace ws;
+  return ws;
+}
+
+ScheduleCache::ScheduleCache(const graph::TaskGraph& g, std::span<const std::int64_t> keys,
+                             ProfileStore* store)
+    : g_(&g),
+      keys_(keys),
+      width_(std::max<std::size_t>(1, std::min(g.num_tasks(), graph::asap_max_concurrency(g)))),
+      store_(store != nullptr ? store : &private_store_),
+      acquired_(width_ + 1, 0) {}
+
 const sched::Schedule& ScheduleCache::at(std::size_t n) {
   const std::size_t key = clamp(n);
-  if (const auto it = by_n_.find(key); it != by_n_.end()) {
+  auto& schedules = store_->schedules;
+  if (holds(key, kSchedule)) {
     c_schedule_hit.inc();
-    return *it->second;
+    return *schedules.at(key);
   }
-  if (store_ != nullptr) {
-    if (const auto it = store_->schedules.find(key); it != store_->schedules.end()) {
-      c_store_schedule_hit.inc();
-      ++store_hits_;
-      return *by_n_.emplace(key, it->second).first->second;
-    }
+  auto it = schedules.find(key);
+  if (it != schedules.end()) {
+    c_store_schedule_hit.inc();
+  } else {
+    c_schedule_miss.inc();
+    it = schedules
+             .emplace(key, std::make_shared<const sched::Schedule>(
+                               sched::list_schedule(*g_, key, keys_, tls_workspace())))
+             .first;
   }
-  c_schedule_miss.inc();
-  ++computed_;
-  auto s = std::make_shared<const sched::Schedule>(
-      sched::list_schedule(*g_, key, keys_, *ws_));
-  if (store_ != nullptr) store_->schedules.try_emplace(key, s);
-  return *by_n_.emplace(key, std::move(s)).first->second;
+  acquire(key, kSchedule);
+  return *it->second;
 }
 
 const energy::GapProfile& ScheduleCache::profile_at(std::size_t n) {
   const std::size_t key = clamp(n);
-  if (const auto it = profile_by_n_.find(key); it != profile_by_n_.end()) {
+  auto& profiles = store_->profiles;
+  if (holds(key, kProfile)) {
     c_profile_hit.inc();
-    return *it->second;
+    return *profiles.at(key);
   }
-  if (const auto it = by_n_.find(key); it != by_n_.end()) {
-    // Derivation from a locally held schedule is free scheduling-wise; the
-    // cold path takes this same branch at the same point, so it stays
-    // uncounted even when the schedule originally came from the store.
+  if (holds(key, kSchedule)) {
     c_profile_from_schedule.inc();
-    auto p = std::make_shared<const energy::GapProfile>(*it->second);
-    if (store_ != nullptr) store_->profiles.try_emplace(key, p);
-    return *profile_by_n_.emplace(key, std::move(p)).first->second;
+    acquired_[key] |= kProfile;  // free: derived from a held schedule
+    return *profiles
+                .try_emplace(key, std::make_shared<const energy::GapProfile>(
+                                      *store_->schedules.at(key)))
+                .first->second;
   }
-  if (store_ != nullptr) {
-    if (const auto it = store_->profiles.find(key); it != store_->profiles.end()) {
-      c_store_profile_hit.inc();
-      ++store_hits_;
-      return *profile_by_n_.emplace(key, it->second).first->second;
-    }
-    if (const auto it = store_->schedules.find(key); it != store_->schedules.end()) {
-      // The cold path would run the scheduler here; deriving from the
-      // store's schedule replaces that run, so it counts.
-      c_store_schedule_hit.inc();
-      ++store_hits_;
-      auto p = std::make_shared<const energy::GapProfile>(*it->second);
-      store_->profiles.try_emplace(key, p);
-      return *profile_by_n_.emplace(key, std::move(p)).first->second;
-    }
-  }
+  if (const auto p = profile_lookup(key)) return *p;
   c_profile_miss.inc();
-  ++computed_;
   auto p = std::make_shared<const energy::GapProfile>(
-      energy::GapProfile(sched::list_schedule_gaps(*g_, key, keys_, *ws_)));
-  if (store_ != nullptr) store_->profiles.try_emplace(key, p);
-  return *profile_by_n_.emplace(key, std::move(p)).first->second;
+      energy::GapProfile(sched::list_schedule_gaps(*g_, key, keys_, tls_workspace())));
+  acquire(key, kProfile);
+  return *profiles.emplace(key, std::move(p)).first->second;
 }
 
 Cycles ScheduleCache::makespan_at(std::size_t n) {
   const std::size_t key = clamp(n);
-  if (const auto it = by_n_.find(key); it != by_n_.end()) return it->second->makespan();
+  if (holds(key, kSchedule)) return store_->schedules.at(key)->makespan();
   return profile_at(key).makespan();
 }
 
 std::shared_ptr<const sched::Schedule> ScheduleCache::schedule_ptr(std::size_t n) const {
-  const auto it = by_n_.find(clamp(n));
-  return it != by_n_.end() ? it->second : nullptr;
+  const std::size_t key = clamp(n);
+  return holds(key, kSchedule) ? store_->schedules.at(key) : nullptr;
 }
 
 std::shared_ptr<const energy::GapProfile> ScheduleCache::profile_lookup(std::size_t n) {
   const std::size_t key = clamp(n);
-  if (const auto it = profile_by_n_.find(key); it != profile_by_n_.end()) return it->second;
-  if (store_ != nullptr) {
-    if (const auto it = store_->profiles.find(key); it != store_->profiles.end()) {
-      c_store_profile_hit.inc();
-      ++store_hits_;
-      return profile_by_n_.emplace(key, it->second).first->second;
-    }
-    if (const auto it = store_->schedules.find(key); it != store_->schedules.end()) {
-      c_store_schedule_hit.inc();
-      ++store_hits_;
-      auto p = std::make_shared<const energy::GapProfile>(*it->second);
-      store_->profiles.try_emplace(key, p);
-      return profile_by_n_.emplace(key, std::move(p)).first->second;
-    }
+  auto& profiles = store_->profiles;
+  if (holds(key, kProfile)) return profiles.at(key);
+  if (const auto it = profiles.find(key); it != profiles.end()) {
+    c_store_profile_hit.inc();
+    acquire(key, kProfile);
+    return it->second;
+  }
+  if (const auto it = store_->schedules.find(key); it != store_->schedules.end()) {
+    c_store_schedule_hit.inc();
+    acquire(key, kProfile);
+    return profiles.emplace(key, std::make_shared<const energy::GapProfile>(*it->second))
+        .first->second;
   }
   return nullptr;
 }
 
 std::shared_ptr<const sched::Schedule> ScheduleCache::materialize(std::size_t n) {
   const std::size_t key = clamp(n);
-  if (const auto it = by_n_.find(key); it != by_n_.end()) return it->second;
-  if (store_ != nullptr) {
-    if (const auto it = store_->schedules.find(key); it != store_->schedules.end()) {
-      c_store_schedule_hit.inc();
-      return by_n_.emplace(key, it->second).first->second;
-    }
-  }
-  auto s = std::make_shared<const sched::Schedule>(
-      sched::list_schedule(*g_, key, keys_, *ws_));
-  if (store_ != nullptr) store_->schedules.try_emplace(key, s);
-  return by_n_.emplace(key, std::move(s)).first->second;
+  auto& schedules = store_->schedules;
+  auto it = schedules.find(key);
+  if (it == schedules.end())
+    it = schedules
+             .emplace(key, std::make_shared<const sched::Schedule>(
+                               sched::list_schedule(*g_, key, keys_, tls_workspace())))
+             .first;
+  else if (!holds(key, kSchedule))
+    c_store_schedule_hit.inc();
+  acquired_[key] |= kSchedule;
+  return it->second;
 }
 
-void ScheduleCache::adopt_schedule(std::size_t n,
-                                   std::shared_ptr<const sched::Schedule> s) {
+void ScheduleCache::adopt(std::size_t n, std::shared_ptr<const sched::Schedule> s) {
   const std::size_t key = clamp(n);
-  if (store_ != nullptr) store_->schedules.try_emplace(key, s);
-  by_n_.try_emplace(key, std::move(s));
+  if (holds(key, kSchedule)) return;
+  store_->schedules.try_emplace(key, std::move(s));
+  acquire(key, kSchedule);
 }
 
-void ScheduleCache::adopt_profile(std::size_t n,
-                                  std::shared_ptr<const energy::GapProfile> p) {
+void ScheduleCache::adopt(std::size_t n, std::shared_ptr<const energy::GapProfile> p) {
   const std::size_t key = clamp(n);
-  if (store_ != nullptr) store_->profiles.try_emplace(key, p);
-  profile_by_n_.try_emplace(key, std::move(p));
-}
-
-sched::Schedule ScheduleCache::take(std::size_t n) {
-  const auto it = by_n_.find(clamp(n));
-  if (it == by_n_.end()) throw std::logic_error("ScheduleCache::take: count not cached");
-  sched::Schedule s = *it->second;
-  by_n_.erase(it);
-  return s;
+  if (holds(key, kProfile)) return;
+  store_->profiles.try_emplace(key, std::move(p));
+  acquire(key, kProfile);
 }
 
 }  // namespace lamps::core

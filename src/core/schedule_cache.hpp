@@ -2,9 +2,9 @@
 //
 // LAMPS phase 1, schedule_max_speedup and LAMPS phase 2 all invoke the
 // list scheduler on the same (graph, priority keys) with overlapping
-// processor counts; the cache computes each count once, shares one
-// ListScheduleWorkspace across the computations, and clamps counts at the
-// graph's ASAP concurrency width:
+// processor counts; the cache computes each count once, on the calling
+// thread's workspace (tls_workspace), and clamps counts at the graph's
+// ASAP concurrency width:
 //
 //   With num_procs >= width, the dispatch loop never runs out of free
 //   processors (at most width tasks are ever simultaneously runnable, and
@@ -20,23 +20,29 @@
 // the horizon) only ever evaluate counts <= width, where the clamp is the
 // identity.
 //
-// Incremental rescheduling: an optional ProfileStore (core/incremental.hpp)
-// backs the cache with deadline-invariant artifacts from earlier requests
-// on the same graph structure.  Lookup order is always local maps first,
-// then the store, then a fresh scheduler run — and because the local maps
-// evolve identically whether or not a store is attached (every acquisition
-// lands in them at the same point of the search), the store can only be
-// consulted exactly where the from-scratch path would have run the
-// scheduler.  computed() counts store hits alongside fresh runs for the
-// same reason: it reports the scheduling work the search *required*, which
-// is what StrategyResult.schedules_computed means, and stays bit-identical
-// to a cold run — the serve byte-exactness gate depends on that.
+// One store per search: every schedule and idle-gap profile the search
+// touches lives in one ProfileStore (core/incremental.hpp) — serve's
+// ScheduleBank lease, which carries deadline-invariant artifacts across
+// requests on the same graph structure, or else a private store the cache
+// owns.  The only per-search state is one "acquired" flag byte per clamped
+// processor count, and it defines StrategyResult.schedules_computed:
+//
+//   an artifact (the schedule or the profile of one count) counts the
+//   first time this search acquires it, whether from the store or from a
+//   fresh scheduler run; a profile derived from a schedule this search
+//   already holds, and the LAMPS winner's materialization, are free.
+//
+// The flags evolve the same way whatever the store holds, so a warm store
+// can only stand in for a run the cold search performs at that very point,
+// one for one: the count is the scheduling work the search required, and
+// it is bit-identical with and without the bank (the serve byte-exactness
+// gate depends on that).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "core/incremental.hpp"
 #include "energy/gap_profile.hpp"
@@ -45,23 +51,26 @@
 
 namespace lamps::core {
 
+/// The calling thread's scheduling workspace, shared by every
+/// configuration search that runs on it (the ScheduleCache, the LAMPS
+/// phase-2 fan-out, processor_sweep).  Persisting it across calls means
+/// the priority ranking is re-sorted only when the keys actually change,
+/// and the scratch buffers stop being reallocated per call.
+[[nodiscard]] sched::ListScheduleWorkspace& tls_workspace();
+
 class ScheduleCache {
  public:
-  /// `width` is the clamp point (normally the graph's ASAP concurrency,
-  /// clamped to [1, |V|]).  `keys` must outlive the cache.  An external
-  /// `ws` (which must outlive the cache and not be used concurrently)
-  /// lets a caller share one workspace — and thus the cached priority
-  /// ranking — across successive caches for the same problem; by default
-  /// the cache owns a private workspace.  An external `store` (externally
-  /// synchronized, e.g. a ScheduleBank lease) supplies and receives
-  /// deadline-invariant schedules/profiles across requests; the caller
-  /// must guarantee the store was built with an identical priority
-  /// *ranking* (see core/incremental.hpp).
+  /// The clamp point is the graph's ASAP concurrency width, clamped to
+  /// [1, |V|].  `keys` must outlive the cache.  An external `store`
+  /// (externally synchronized, e.g. a ScheduleBank lease) supplies and
+  /// receives deadline-invariant schedules/profiles across requests; the
+  /// caller must guarantee the store was built with an identical priority
+  /// *ranking* (see core/incremental.hpp).  Without one the cache works
+  /// through a private store.
   ScheduleCache(const graph::TaskGraph& g, std::span<const std::int64_t> keys,
-                std::size_t width, sched::ListScheduleWorkspace* ws = nullptr,
-                ProfileStore* store = nullptr)
-      : g_(&g), keys_(keys), width_(width), ws_(ws != nullptr ? ws : &owned_ws_),
-        store_(store) {}
+                ProfileStore* store = nullptr);
+  ScheduleCache(const ScheduleCache&) = delete;
+  ScheduleCache& operator=(const ScheduleCache&) = delete;
 
   /// Schedule for `n` processors (computed on first use).  For n >= width
   /// the returned schedule is the width-processor one (see file header).
@@ -70,72 +79,62 @@ class ScheduleCache {
   /// Idle-gap profile of the schedule for `n` processors, without
   /// materializing the schedule: the probe runs the event loop with a
   /// gap-recording sink (sched::list_schedule_gaps) instead of placement
-  /// storage.  Derived from the full schedule instead when one is already
-  /// cached.  Bit-identical either way, and everything a feasibility test
-  /// (makespan) or energy evaluation needs — so search probes memoized
-  /// here are reusable by the phase-2 energy scan.
+  /// storage.  Derived from the full schedule instead when this search
+  /// holds one.  Bit-identical either way, and everything a feasibility
+  /// test (makespan) or energy evaluation needs — so search probes
+  /// memoized here are reusable by the phase-2 energy scan.
   const energy::GapProfile& profile_at(std::size_t n);
 
-  /// Makespan for `n` processors via the cheapest cached artifact
-  /// (schedule, else profile, else a fresh gap-only run).
+  /// Makespan for `n` processors via the cheapest artifact (a held
+  /// schedule, else profile_at).
   Cycles makespan_at(std::size_t n);
 
-  /// Locally cached artifacts only (what this search has already paid
-  /// for); deliberately blind to the store so callers branch identically
-  /// with and without one.
-  [[nodiscard]] bool has(std::size_t n) const { return by_n_.contains(clamp(n)); }
-  [[nodiscard]] bool has_profile(std::size_t n) const {
-    return profile_by_n_.contains(clamp(n));
-  }
-
-  /// Locally cached schedule for `n`, or nullptr.  Never consults the
-  /// store and never counts.
+  /// Schedule for `n` if this search holds one, else nullptr.  Never
+  /// counts.
   [[nodiscard]] std::shared_ptr<const sched::Schedule> schedule_ptr(std::size_t n) const;
 
-  /// Profile for `n` from the local maps (silent) or the store (counted —
-  /// it replaces the fresh run the cold path would do here); nullptr when
-  /// neither has it.  Never runs the scheduler.
+  /// Profile for `n` if this search holds one, else taken from the store —
+  /// its profile, or one derived from its schedule — and counted; nullptr
+  /// when neither has it.  Never runs the scheduler.  For counts whose
+  /// schedule this search does not hold (check schedule_ptr first).
   [[nodiscard]] std::shared_ptr<const energy::GapProfile> profile_lookup(std::size_t n);
 
-  /// Schedule for `n` for winner materialization: local map, else store,
-  /// else a fresh run (published to the store).  Never counts — matching
-  /// the from-scratch search, which does not count the winner's
-  /// materialization re-run either.
+  /// Schedule for `n` for the LAMPS winner's materialization: the store's,
+  /// else a fresh run published to the store.  Never counts.
   [[nodiscard]] std::shared_ptr<const sched::Schedule> materialize(std::size_t n);
 
-  /// Publishes an artifact computed outside the cache (the phase-2
-  /// fan-out) into the local map and the store.  Counting happened when
-  /// the caller decided to compute it.
-  void adopt_schedule(std::size_t n, std::shared_ptr<const sched::Schedule> s);
-  void adopt_profile(std::size_t n, std::shared_ptr<const energy::GapProfile> p);
+  /// Publishes an artifact the phase-2 fan-out computed outside the cache
+  /// and counts its acquisition; a no-op for an artifact this search
+  /// already holds.
+  void adopt(std::size_t n, std::shared_ptr<const sched::Schedule> s);
+  void adopt(std::size_t n, std::shared_ptr<const energy::GapProfile> p);
 
-  /// Copy of the schedule for `n` (it must be locally cached); drops the
-  /// local entry.  Store-backed artifacts stay in the store.
-  sched::Schedule take(std::size_t n);
-
-  /// Scheduling work the search required: fresh list-scheduler runs plus
-  /// store hits that each replaced exactly one such run.  Bit-identical
-  /// with and without a store (see file header).
-  [[nodiscard]] std::size_t computed() const { return computed_ + store_hits_; }
-  /// Fresh list-scheduler invocations actually performed by this cache.
-  [[nodiscard]] std::size_t fresh_runs() const { return computed_; }
-  [[nodiscard]] std::size_t store_hits() const { return store_hits_; }
+  /// Artifacts this search has acquired (see file header): what
+  /// StrategyResult.schedules_computed reports.
+  [[nodiscard]] std::size_t computed() const { return computed_; }
   [[nodiscard]] std::size_t width() const { return width_; }
   [[nodiscard]] const graph::TaskGraph& graph() const { return *g_; }
 
  private:
+  enum : std::uint8_t { kSchedule = 1, kProfile = 2 };
+
   [[nodiscard]] std::size_t clamp(std::size_t n) const { return n < width_ ? n : width_; }
+  [[nodiscard]] bool holds(std::size_t key, std::uint8_t kind) const {
+    return (acquired_[key] & kind) != 0;
+  }
+  void acquire(std::size_t key, std::uint8_t kind) {
+    acquired_[key] |= kind;
+    ++computed_;
+  }
 
   const graph::TaskGraph* g_;
   std::span<const std::int64_t> keys_;
   std::size_t width_;
-  sched::ListScheduleWorkspace owned_ws_;
-  sched::ListScheduleWorkspace* ws_;
+  ProfileStore private_store_;
   ProfileStore* store_;
-  std::unordered_map<std::size_t, std::shared_ptr<const sched::Schedule>> by_n_;
-  std::unordered_map<std::size_t, std::shared_ptr<const energy::GapProfile>> profile_by_n_;
+  /// Per clamped count, the kSchedule/kProfile artifacts this search holds.
+  std::vector<std::uint8_t> acquired_;
   std::size_t computed_{0};
-  std::size_t store_hits_{0};
 };
 
 }  // namespace lamps::core

@@ -1,15 +1,11 @@
 #include "core/sns.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "core/priority_keys.hpp"
 #include "core/schedule_cache.hpp"
 #include "core/stretch.hpp"
 #include "graph/analysis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sched/list_scheduler.hpp"
 
 namespace lamps::core {
 
@@ -42,10 +38,7 @@ StrategyResult stretch_result(const Problem& prob, sched::Schedule schedule,
   return r;
 }
 
-struct SpeedupSearch {
-  std::size_t num_procs;
-  std::size_t computed;
-};
+}  // namespace
 
 /// With width processors every task starts at its ASAP time, so the
 /// makespan cannot improve further; binary-search the smallest count that
@@ -53,18 +46,15 @@ struct SpeedupSearch {
 ///
 /// Probe short-circuit (pure integer arithmetic, so the branch taken is
 /// identical to what the real schedule would decide): the list scheduler
-/// is greedy, so Graham's bound brackets its makespan,
-///   max(CPL, ceil(W/n)) <= makespan(n) <= ceil((W + (n-1)*CPL) / n);
+/// is greedy, so Graham's bracket (graham_bracket) holds its makespan;
 /// when the lower bound already exceeds ms_min the probe cannot reach it,
 /// and when the upper bound is within ms_min it certainly does — either
 /// way the schedule need not be computed.
-SpeedupSearch speedup_search(ScheduleCache& cache, obs::SearchTelemetry* tel) {
+std::size_t max_speedup_procs(ScheduleCache& cache, obs::SearchTelemetry* tel) {
   obs::Span span("sns/speedup_search");
   const graph::TaskGraph& g = cache.graph();
   const std::size_t width = cache.width();
-  const std::size_t before = cache.computed();
   std::size_t num_procs = width;
-  constexpr Cycles kMax = std::numeric_limits<Cycles>::max();
   const Cycles total_work = g.total_work();
   const Cycles cpl = graph::critical_path_length(g);
   // With `width` processors every task starts at its ASAP time (the cache's
@@ -84,21 +74,16 @@ SpeedupSearch speedup_search(ScheduleCache& cache, obs::SearchTelemetry* tel) {
     tel->probes.push_back(p);
   };
   const auto reaches_ms_min = [&](std::size_t n) {
-    const auto nc = static_cast<Cycles>(n);
-    Cycles lower = cpl;
-    if (total_work <= kMax - nc) lower = std::max(lower, (total_work + nc - 1) / nc);
-    if (lower > ms_min) {
+    const MakespanBracket bracket = graham_bracket(total_work, cpl, n);
+    if (bracket.lower > ms_min) {
       c_graham_lower.inc();
       record(n, "graham-lower", -1, false);
       return false;
     }
-    if (nc == 1 || cpl <= (kMax - total_work) / (nc - 1)) {
-      const Cycles upper = (total_work + (nc - 1) * cpl + (nc - 1)) / nc;
-      if (upper <= ms_min) {
-        c_graham_upper.inc();
-        record(n, "graham-upper", -1, true);
-        return true;
-      }
+    if (bracket.upper && *bracket.upper <= ms_min) {
+      c_graham_upper.inc();
+      record(n, "graham-upper", -1, true);
+      return true;
     }
     const Cycles ms = cache.makespan_at(n);
     const bool reaches = ms <= ms_min;
@@ -116,29 +101,23 @@ SpeedupSearch speedup_search(ScheduleCache& cache, obs::SearchTelemetry* tel) {
       lo = mid + 1;
     }
   }
-  return SpeedupSearch{num_procs, cache.computed() - before};
+  return num_procs;
 }
-
-std::size_t concurrency_width(const graph::TaskGraph& g) {
-  return std::max<std::size_t>(1, std::min(g.num_tasks(), graph::asap_max_concurrency(g)));
-}
-
-}  // namespace
 
 MaxSpeedupSchedule schedule_max_speedup(const Problem& prob) {
-  const graph::TaskGraph& g = *prob.graph;
   const auto keys = problem_priority_keys(prob);
   // An attached ProfileStore reuses deadline-invariant probes from earlier
   // same-structure requests; counting stays cold-identical (see
   // schedule_cache.hpp).
-  ScheduleCache cache(g, keys, concurrency_width(g), nullptr, prob.profile_store);
-  const SpeedupSearch s = speedup_search(cache, prob.telemetry);
+  ScheduleCache cache(*prob.graph, keys, prob.profile_store);
+  const std::size_t num_procs = max_speedup_procs(cache, prob.telemetry);
   // The Graham-bound short-circuit may have decided the winning probe
-  // without scheduling it; materialize the winner before taking it.
-  const sched::Schedule& winner = cache.at(s.num_procs);
+  // without scheduling it; materialize the winner (counted, unlike the
+  // LAMPS winner).
+  const sched::Schedule& winner = cache.at(num_procs);
   if (prob.telemetry != nullptr) {
     obs::SearchProbe p;
-    p.num_procs = s.num_procs;
+    p.num_procs = num_procs;
     p.phase = "speedup";
     p.action = "materialize";
     p.makespan = static_cast<std::int64_t>(winner.makespan());
@@ -146,11 +125,7 @@ MaxSpeedupSchedule schedule_max_speedup(const Problem& prob) {
     p.chosen = true;
     prob.telemetry->probes.push_back(p);
   }
-  return MaxSpeedupSchedule{s.num_procs, cache.take(s.num_procs), cache.computed()};
-}
-
-std::size_t max_speedup_procs(ScheduleCache& cache, obs::SearchTelemetry* telemetry) {
-  return speedup_search(cache, telemetry).num_procs;
+  return MaxSpeedupSchedule{num_procs, winner, cache.computed()};
 }
 
 StrategyResult schedule_and_stretch(const Problem& prob) {

@@ -19,7 +19,8 @@ class ScheduleCache;
 /// concurrency every task starts at its earliest possible time, so that
 /// width pins the minimal makespan; a binary search then finds the smallest
 /// count that reaches it.  Returns the chosen count and its schedule;
-/// `schedules_computed` counts list-scheduling invocations.
+/// `schedules_computed` counts the artifacts the search acquired (the rule
+/// in core/schedule_cache.hpp), the winner's schedule included.
 struct MaxSpeedupSchedule {
   std::size_t num_procs{1};
   sched::Schedule schedule;
@@ -29,9 +30,8 @@ struct MaxSpeedupSchedule {
 
 /// Same search through a shared ScheduleCache, returning only the chosen
 /// processor count (LAMPS needs nothing else — its phase 2 re-reads the
-/// cached probe schedules directly).  The cache's width clamp must be the
-/// graph's ASAP concurrency width (it is what pins the minimal makespan).
-/// When `telemetry` is non-null every probe is recorded (phase "speedup").
+/// cached probe schedules directly).  When `telemetry` is non-null every
+/// probe is recorded (phase "speedup").
 [[nodiscard]] std::size_t max_speedup_procs(ScheduleCache& cache,
                                             obs::SearchTelemetry* telemetry = nullptr);
 

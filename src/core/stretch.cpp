@@ -1,6 +1,7 @@
 #include "core/stretch.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "energy/gap_profile.hpp"
@@ -50,6 +51,18 @@ const power::DvsLevel* lowest_level_for_makespan(Cycles makespan, const Problem&
   const Hertz f_min = required_frequency(makespan, prob.deadline);
   if (f_min.value() <= 0.0) return &prob.ladder->level(0);
   return prob.ladder->lowest_level_at_least(Hertz{f_min.value() * (1.0 - 1e-12)});
+}
+
+MakespanBracket graham_bracket(Cycles total_work, Cycles cpl, std::size_t num_procs) {
+  constexpr Cycles kMax = std::numeric_limits<Cycles>::max();
+  const auto n = static_cast<Cycles>(num_procs);
+  // s / n + (s % n != 0) rather than (s + n - 1) / n, which wraps for s
+  // within n of 2^64.
+  const auto ceil_div = [n](Cycles s) { return s / n + (s % n != 0 ? 1 : 0); };
+  MakespanBracket b{std::max(cpl, ceil_div(total_work)), std::nullopt};
+  if (n == 1 || cpl <= (kMax - total_work) / (n - 1))
+    b.upper = ceil_div(total_work + (n - 1) * cpl);
+  return b;
 }
 
 namespace {

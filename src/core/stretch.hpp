@@ -33,6 +33,18 @@ namespace lamps::core {
 [[nodiscard]] const power::DvsLevel* lowest_level_for_makespan(Cycles makespan,
                                                                const Problem& prob);
 
+/// Graham's bracket on the makespan of any greedy (work-conserving) list
+/// schedule of a graph with total work W and critical path CPL on n >= 1
+/// processors:
+///   max(CPL, ceil(W/n))  <=  makespan  <=  ceil((W + (n-1)*CPL) / n).
+/// `upper` is empty when W + (n-1)*CPL does not fit in 64 bits.
+struct MakespanBracket {
+  Cycles lower{0};
+  std::optional<Cycles> upper;
+};
+[[nodiscard]] MakespanBracket graham_bracket(Cycles total_work, Cycles cpl,
+                                             std::size_t num_procs);
+
 /// Energy of `s` run entirely at `lvl` with all employed processors powered
 /// until the deadline (no shutdown) — the S&S/LAMPS accounting.
 [[nodiscard]] energy::EnergyBreakdown stretched_energy(const sched::Schedule& s,

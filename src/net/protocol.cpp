@@ -1,7 +1,5 @@
 #include "net/protocol.hpp"
 
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "graph/analysis.hpp"
@@ -132,24 +130,8 @@ ParsedRequest parse_schedule_request(const std::string& line,
     return stg::read_stg_file(stg_file->as_string(), popts);
   }();
 
-  // The unit must be a whole cycle count the 64-bit cast can hold (it is
-  // undefined beyond 2^64 and would truncate a fraction), and the scaled
-  // weights — and so their sum, the total work — must fit as well.
-  const double unit = doc.get_number("unit", 3'100'000.0);
-  if (!(unit >= 1.0 && unit < 0x1p64) || unit != std::floor(unit))
-    throw InputError(ErrorCode::kConfig,
-                     "unit must be a whole number of cycles per weight unit in [1, 2^64)");
-  const auto unit_cycles = static_cast<Cycles>(unit);
-  constexpr Cycles kMaxCycles = std::numeric_limits<Cycles>::max();
-  Cycles total_work = 0;
-  for (graph::TaskId v = 0; v < raw.num_tasks(); ++v) {
-    const Cycles w = raw.weight(v);
-    if (w > kMaxCycles / unit_cycles || w * unit_cycles > kMaxCycles - total_work)
-      throw InputError(ErrorCode::kConfig, "task weights x unit overflow 64-bit cycles",
-                       popts.name, "use a smaller unit or smaller weights");
-    total_work += w * unit_cycles;
-  }
-  graph::TaskGraph scaled = graph::scale_weights(raw, unit_cycles);
+  graph::TaskGraph scaled =
+      graph::scale_weights_by_unit(raw, doc.get_number("unit", 3'100'000.0), popts.name);
 
   const double deadline_s = doc.get_number("deadline_s", 0.0);
   const double factor = doc.get_number("deadline_factor", 2.0);

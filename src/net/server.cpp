@@ -530,6 +530,7 @@ void Server::handle_line(const ConnPtr& conn, const std::string& line) {
                   std::move(flight));
     return;
   }
+  // One hash per request: the flight record's digest is also the cache key.
   flight->digest = core::service_request_digest(parsed->request);
 
   if (pending_.fetch_add(1, std::memory_order_acq_rel) >= max_pending_) {
@@ -612,7 +613,7 @@ void Server::handle_line(const ConnPtr& conn, const std::string& line) {
     loop_->post([this, conn] { flush_connection(conn); });
   };
 
-  const std::uint64_t key = core::service_request_digest(request->request);
+  const std::uint64_t key = flight->digest;
   if (!cache_.subscribe(key, std::move(consumer))) return;  // hit or joined a leader
 
   try {

@@ -10,9 +10,9 @@
 // (obs::monotonic_ns(), same epoch as --trace-out spans), so log records,
 // spans and metric samples correlate on a single time axis.  Records are
 // written atomically under one sink mutex — lines never interleave — and
-// filtered by the same process-wide level that util/log.hpp exposes; the
-// canonical level storage lives here so the plain and structured paths
-// can never disagree.
+// filtered by one process-wide level (set_min_severity, the --log-level
+// flag), shared with the plain-text lines so the two paths can never
+// disagree.
 //
 // LogEvent is a build-then-emit helper: construct with a severity and an
 // event name, chain typed fields, and the record is written when the
@@ -23,11 +23,11 @@
 //   obs::LogEvent(obs::LogSeverity::kDebug, "serve.request")
 //       .u64("req", id).str("outcome", "computed");
 //
-// The plain-text logger (util/log.hpp log_info etc.) keeps its "[level]
-// message" stderr format by default; set_structured_logging(true)
-// (--log-json on the CLIs) re-routes those lines through this sink as
-// {"event":"log","msg":...} records so *all* diagnostic output becomes
-// machine-parseable.  docs/observability.md documents the record schema.
+// Plain-text lines (emit_plain) keep their "[level] message" stderr
+// format by default; set_structured_logging(true) (--log-json on the
+// CLIs) re-routes them through this sink as {"event":"log","msg":...}
+// records so *all* diagnostic output becomes machine-parseable.
+// docs/observability.md documents the record schema.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +41,12 @@ enum class LogSeverity : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 [[nodiscard]] const char* severity_name(LogSeverity s);
 
-/// Process-wide minimum severity (default kInfo).  util/log.hpp's
-/// set_log_level/log_level delegate here.
+/// Process-wide minimum severity (default kInfo).
 void set_min_severity(LogSeverity s);
 [[nodiscard]] LogSeverity min_severity();
 
-/// When on, plain util/log.hpp lines are wrapped as structured records
-/// instead of "[level] message" text.  LogEvent always emits JSON.
+/// When on, emit_plain lines are wrapped as structured records instead of
+/// "[level] message" text.  LogEvent always emits JSON.
 void set_structured_logging(bool on);
 [[nodiscard]] bool structured_logging();
 
@@ -56,8 +55,7 @@ void set_structured_logging(bool on);
 void set_log_sink(std::ostream* sink);
 
 /// Emits a plain "[level] message" line (or its structured wrapping, see
-/// set_structured_logging) honoring the level filter.  This is the
-/// backend of util/log.hpp's log_line.
+/// set_structured_logging) honoring the level filter.
 void emit_plain(LogSeverity s, std::string_view message);
 
 /// Process-wide request-id source for the serve daemon: monotonically

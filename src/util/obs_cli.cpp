@@ -6,7 +6,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace lamps {
 
@@ -23,13 +22,13 @@ void ObsOptions::register_flags(CliParser& cli) {
 void ObsOptions::apply() const {
   if (!log_level.empty()) {
     if (log_level == "debug")
-      set_log_level(LogLevel::kDebug);
+      obs::set_min_severity(obs::LogSeverity::kDebug);
     else if (log_level == "info")
-      set_log_level(LogLevel::kInfo);
+      obs::set_min_severity(obs::LogSeverity::kInfo);
     else if (log_level == "warn")
-      set_log_level(LogLevel::kWarn);
+      obs::set_min_severity(obs::LogSeverity::kWarn);
     else if (log_level == "error")
-      set_log_level(LogLevel::kError);
+      obs::set_min_severity(obs::LogSeverity::kError);
     else
       throw std::invalid_argument("unknown --log-level: " + log_level +
                                   " (debug|info|warn|error)");

@@ -3,8 +3,11 @@
 // energy baseline under LAMPS results.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/exact.hpp"
 #include "core/strategy.hpp"
+#include "core/stretch.hpp"
 #include "graph/analysis.hpp"
 #include "graph/transform.hpp"
 #include "sched/list_scheduler.hpp"
@@ -107,7 +110,8 @@ TEST(Exact, BudgetExhaustionReportsUnproven) {
 }
 
 // Parameterized: on a sample of small random graphs, LS-EDF stays within
-// the Graham bound (2 - 1/m) of the exact optimum, and never below it.
+// the Graham bound (2 - 1/m) of the exact optimum, never below it, and
+// inside graham_bracket, whose ceilings must not wrap at 2^64.
 class ExactVsListScheduler : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExactVsListScheduler, GrahamBoundHolds) {
@@ -126,7 +130,17 @@ TEST_P(ExactVsListScheduler, GrahamBoundHolds) {
     EXPECT_LE(static_cast<double>(ls.makespan()),
               static_cast<double>(opt.makespan) * (2.0 - 1.0 / static_cast<double>(m)) +
                   1e-9);
+    const MakespanBracket bracket =
+        graham_bracket(g.total_work(), graph::critical_path_length(g), m);
+    EXPECT_LE(bracket.lower, ls.makespan());
+    ASSERT_TRUE(bracket.upper.has_value());
+    EXPECT_GE(*bracket.upper, ls.makespan());
   }
+  // W + (n-1)*CPL = 2^64 - 1 fits, but rounding it up as (s + n - 1) / n
+  // would wrap the upper bound to 0.
+  const MakespanBracket edge = graham_bracket(~Cycles{0} - 1, 1, 2);
+  EXPECT_EQ(edge.lower, (Cycles{1} << 63) - 1);
+  EXPECT_EQ(edge.upper, std::optional<Cycles>(Cycles{1} << 63));
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallGraphs, ExactVsListScheduler,

@@ -6,22 +6,30 @@
 // (deadline sweeps over one graph, weight deltas that flip the priority
 // order) across every strategy, plus the supporting pieces: the
 // structure digest, the bank's LRU, the store-aware ScheduleCache
-// accounting, and the workspace's shifted-keys ranking fast path.
+// accounting, a golden table of schedules_computed, and the workspace's
+// shifted-keys ranking fast path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <sstream>
 #include <vector>
 
 #include "core/incremental.hpp"
 #include "core/request.hpp"
 #include "core/schedule_cache.hpp"
+#include "core/strategy.hpp"
 #include "graph/analysis.hpp"
 #include "graph/task_graph.hpp"
+#include "graph/transform.hpp"
+#include "obs/metrics.hpp"
 #include "power/power_model.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/priorities.hpp"
+#include "stg/format.hpp"
 #include "stg/random_gen.hpp"
+#include "stg/suite.hpp"
 
 namespace lamps::core {
 namespace {
@@ -191,30 +199,132 @@ TEST(Incremental, BankEvictsLeastRecentlyLeased) {
 TEST(Incremental, StoreBackedCacheCountsLikeCold) {
   const graph::TaskGraph g = random_graph(41, 80);
   const auto keys = sched::make_priority_keys(g, {});
-  const std::size_t width =
-      std::max<std::size_t>(1, std::min(g.num_tasks(), graph::asap_max_concurrency(g)));
+  const auto scheduler_runs = [] {
+    const obs::Registry& reg = obs::Registry::global();
+    return reg.counter_value("scheduler.runs_full") + reg.counter_value("scheduler.runs_gaps") +
+           reg.counter_value("scheduler.runs_makespan");
+  };
 
   ProfileStore store;
-  ScheduleCache first(g, keys, width, nullptr, &store);
+  std::uint64_t runs = scheduler_runs();
+  ScheduleCache first(g, keys, &store);
   (void)first.profile_at(2);
   (void)first.at(3);
+  (void)first.profile_at(3);  // derived from the held schedule: free
   EXPECT_EQ(first.computed(), 2U);
-  EXPECT_EQ(first.fresh_runs(), 2U);
-  EXPECT_EQ(first.store_hits(), 0U);
+  EXPECT_EQ(scheduler_runs() - runs, 2U);
 
-  // A later request's cache over the same store reports the same
-  // computed() a cold cache would, without invoking the scheduler.
-  ScheduleCache warm(g, keys, width, nullptr, &store);
+  // A later request's cache over the same store runs the scheduler 0
+  // times and reports the computed() a cold cache would.
+  runs = scheduler_runs();
+  ScheduleCache warm(g, keys, &store);
   EXPECT_EQ(warm.profile_at(2).makespan(), first.profile_at(2).makespan());
   (void)warm.at(3);
+  EXPECT_EQ(scheduler_runs() - runs, 0U);
   EXPECT_EQ(warm.computed(), 2U);
-  EXPECT_EQ(warm.fresh_runs(), 0U);
-  EXPECT_EQ(warm.store_hits(), 2U);
 
-  ScheduleCache cold(g, keys, width);
+  ScheduleCache cold(g, keys);
   (void)cold.profile_at(2);
   (void)cold.at(3);
   EXPECT_EQ(cold.computed(), warm.computed());
+}
+
+// ---- schedules_computed, pinned -------------------------------------------
+//
+// The tests above compare banked runs against scratch runs; nothing there
+// pins the absolute count.  This table does: for each graph, deadline
+// factor and strategy, the schedules_computed the search reports (the
+// acquisition rule in core/schedule_cache.hpp).  A change that alters
+// how much scheduling work a search performs shows up here; the failure
+// message prints the measured table.
+
+// data/pipeline.stg and data/fork_join.stg, embedded so the test does not
+// depend on the working directory.
+constexpr const char* kPipelineStg =
+    "8\n0 0 0\n1 12 1 0\n2 30 1 1\n3 18 1 1\n4 26 1 2\n5 22 2 2 3\n6 14 1 3\n"
+    "7 20 3 4 5 6\n8 10 1 7\n9 0 1 8\n";
+constexpr const char* kForkJoinStg =
+    "8\n0 0 0\n1 5 1 0\n2 40 1 1\n3 35 1 1\n4 30 1 1\n5 25 1 1\n6 20 1 1\n"
+    "7 15 1 1\n8 5 6 2 3 4 5 6 7\n9 0 1 8\n";
+
+struct GoldenGraph {
+  const char* name;
+  graph::TaskGraph graph;
+};
+
+std::vector<GoldenGraph> golden_graphs(const power::PowerModel& model) {
+  const auto scaled = [](const graph::TaskGraph& g) {
+    return graph::scale_weights(g, stg::kCoarseGrainCyclesPerUnit);
+  };
+  const auto read = [&](const char* text) {
+    std::istringstream is(text);
+    return scaled(stg::read_stg(is));
+  };
+  stg::RandomGraphSpec layered;
+  layered.num_tasks = 600;
+  layered.method = stg::GenMethod::kLayrPred;
+  layered.avg_degree = 3.0;
+  layered.seed = 62;
+
+  // Per-task deadlines on every fifth task, 2.5x its ASAP finish time.
+  const graph::TaskGraph base = scaled(random_graph(63, 150));
+  const std::vector<Cycles> top = graph::top_levels(base);
+  graph::TaskGraphBuilder b("explicit-deadlines");
+  for (graph::TaskId v = 0; v < base.num_tasks(); ++v) b.add_task(base.weight(v));
+  for (graph::TaskId v = 0; v < base.num_tasks(); ++v)
+    for (const graph::TaskId t : base.successors(v)) b.add_edge(v, t);
+  for (graph::TaskId v = 0; v < base.num_tasks(); v += 5)
+    b.set_deadline(v, Seconds{2.5 * static_cast<double>(top[v] + base.weight(v)) /
+                              model.max_frequency().value()});
+
+  std::vector<GoldenGraph> out;
+  out.push_back({"pipeline.stg", read(kPipelineStg)});
+  out.push_back({"fork_join.stg", read(kForkJoinStg)});
+  out.push_back({"random-300", scaled(random_graph(61, 300))});
+  out.push_back({"layrpred-600", scaled(stg::generate_random(layered))});
+  out.push_back({"explicit-deadlines", b.build()});
+  return out;
+}
+
+constexpr double kGoldenFactors[] = {1.2, 2.0, 4.0};
+
+// [graph][deadline factor][strategy in core::kAllStrategies order:
+// S&S, LAMPS, S&S+PS, LAMPS+PS, LIMIT-SF, LIMIT-MF].
+constexpr std::size_t kGoldenComputed[][3][6] = {
+    {{2, 1, 2, 1, 0, 0}, {2, 2, 2, 1, 0, 0}, {2, 2, 2, 2, 0, 0}},
+    {{3, 4, 3, 4, 0, 0}, {3, 4, 3, 4, 0, 0}, {3, 5, 3, 3, 0, 0}},
+    {{5, 13, 5, 13, 0, 0}, {5, 21, 5, 17, 0, 0}, {5, 28, 5, 22, 0, 0}},
+    {{5, 9, 5, 9, 0, 0}, {5, 11, 5, 10, 0, 0}, {5, 10, 5, 10, 0, 0}},
+    {{4, 10, 4, 10, 0, 0}, {4, 13, 4, 13, 0, 0}, {4, 18, 4, 18, 0, 0}},
+};
+
+TEST(Incremental, SchedulesComputedMatchesGolden) {
+  const power::PowerModel model;
+  const power::DvsLadder ladder(model);
+  ScheduleBank bank;
+  const std::vector<GoldenGraph> graphs = golden_graphs(model);
+  ASSERT_EQ(graphs.size(), std::size(kGoldenComputed));
+  std::ostringstream measured;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    measured << "    {";
+    for (std::size_t fi = 0; fi < std::size(kGoldenFactors); ++fi) {
+      measured << (fi == 0 ? "{" : ", {");
+      for (std::size_t si = 0; si < core::kAllStrategies.size(); ++si) {
+        const ServiceRequest req =
+            make_request(graphs[gi].graph, model, kGoldenFactors[fi], core::kAllStrategies[si]);
+        const std::size_t scratch = run_service_request(req, model, ladder).schedules_computed;
+        EXPECT_EQ(scratch, kGoldenComputed[gi][fi][si])
+            << graphs[gi].name << " x" << kGoldenFactors[fi] << " " << to_string(req.strategy);
+        // A banked run (warm from the earlier factors) reports the same.
+        EXPECT_EQ(run_service_request(req, model, ladder, &bank).schedules_computed, scratch)
+            << graphs[gi].name << " x" << kGoldenFactors[fi] << " " << to_string(req.strategy);
+        measured << (si == 0 ? "" : ", ") << scratch;
+      }
+      measured << "}";
+    }
+    measured << "},\n";
+  }
+  if (HasFailure()) ADD_FAILURE() << "measured table:\n" << measured.str();
 }
 
 TEST(Incremental, ShiftedPriorityKeysReuseTheCachedRanking) {

@@ -5,47 +5,54 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "obs/log.hpp"
 #include "util/csv.hpp"
 #include "util/errors.hpp"
-#include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
 namespace lamps {
 namespace {
 
 TEST(Log, LevelFilterGates) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kWarn);
-  EXPECT_EQ(log_level(), LogLevel::kWarn);
-  // Below-threshold messages are cheap no-ops; above-threshold ones write
-  // to stderr — we only verify the filter state machine here, the actual
-  // sink is stderr by design.
-  log_debug("not shown ", 1);
-  log_info("not shown ", 2);
-  log_warn("shown ", 3);
-  log_error("shown ", 4);
-  set_log_level(saved);
+  const obs::LogSeverity saved = obs::min_severity();
+  obs::set_min_severity(obs::LogSeverity::kWarn);
+  EXPECT_EQ(obs::min_severity(), obs::LogSeverity::kWarn);
+  std::ostringstream sink;
+  obs::set_log_sink(&sink);
+  obs::emit_plain(obs::LogSeverity::kDebug, "not shown 1");
+  obs::emit_plain(obs::LogSeverity::kInfo, "not shown 2");
+  obs::emit_plain(obs::LogSeverity::kWarn, "shown 3");
+  obs::emit_plain(obs::LogSeverity::kError, "shown 4");
+  obs::set_log_sink(nullptr);
+  obs::set_min_severity(saved);
+  EXPECT_EQ(sink.str(), "[warn] shown 3\n[error] shown 4\n");
 }
 
 TEST(Log, LevelsAreOrdered) {
-  EXPECT_LT(static_cast<int>(LogLevel::kDebug), static_cast<int>(LogLevel::kInfo));
-  EXPECT_LT(static_cast<int>(LogLevel::kInfo), static_cast<int>(LogLevel::kWarn));
-  EXPECT_LT(static_cast<int>(LogLevel::kWarn), static_cast<int>(LogLevel::kError));
+  using obs::LogSeverity;
+  EXPECT_LT(static_cast<int>(LogSeverity::kDebug), static_cast<int>(LogSeverity::kInfo));
+  EXPECT_LT(static_cast<int>(LogSeverity::kInfo), static_cast<int>(LogSeverity::kWarn));
+  EXPECT_LT(static_cast<int>(LogSeverity::kWarn), static_cast<int>(LogSeverity::kError));
 }
 
 TEST(Log, ConcurrentLoggingDoesNotCrash) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kError);  // keep the test output quiet
+  const obs::LogSeverity saved = obs::min_severity();
+  obs::set_min_severity(obs::LogSeverity::kError);  // keep the test output quiet
   std::vector<std::thread> threads;
   threads.reserve(4);
   for (int t = 0; t < 4; ++t)
     threads.emplace_back([t] {
-      for (int i = 0; i < 50; ++i) log_warn("thread ", t, " line ", i);
+      for (int i = 0; i < 50; ++i)
+        obs::emit_plain(obs::LogSeverity::kWarn,
+                        "thread " + std::to_string(t) + " line " + std::to_string(i));
     });
   for (auto& th : threads) th.join();
-  set_log_level(saved);
+  obs::set_min_severity(saved);
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

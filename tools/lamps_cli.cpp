@@ -167,7 +167,7 @@ struct InstanceOptions {
 
   [[nodiscard]] graph::TaskGraph load() const {
     if (file.empty()) throw std::invalid_argument("--file is required");
-    return graph::scale_weights(stg::read_stg_file(file), static_cast<Cycles>(unit));
+    return graph::scale_weights_by_unit(stg::read_stg_file(file), unit, file);
   }
 };
 
@@ -479,24 +479,15 @@ int cmd_sweep(int argc, const char* const* argv) {
 }
 
 int cmd_serve(int argc, const char* const* argv) {
-  std::size_t port = 0;
-  std::size_t threads = 0;
-  std::size_t max_pending = 0;
-  std::size_t cache_capacity = 512;
-  std::size_t bank_capacity = 128;
-  std::size_t flight_capacity = 1024;
-  double slow_ms = 1000.0;
-  double metrics_interval = 0.0;
-  std::string metrics_jsonl;
+  // Same-unit flags bind straight to the config; locals remain only where
+  // the flag's unit differs (*-ms flags feed *_s fields) or the field's
+  // type is narrower than the parser's.
+  net::ServerConfig cfg;
+  std::size_t port = cfg.port;
+  double slow_ms = cfg.slow_request_s * 1e3;
+  double read_timeout_ms = cfg.read_timeout_s * 1e3;
+  double write_timeout_ms = cfg.write_timeout_s * 1e3;
   double max_runtime_s = 0.0;
-  double read_timeout_ms = 30'000.0;
-  double idle_timeout_s = 300.0;
-  std::size_t max_request_bytes = 32ull << 20;
-  std::size_t max_write_queue = 256;
-  double write_timeout_ms = 30'000.0;
-  double default_deadline_ms = 0.0;
-  std::size_t listen_backlog = 1024;
-  std::size_t sndbuf_bytes = 0;
   std::string chaos_spec;
   ObsOptions oo;
   CliParser cli(
@@ -505,26 +496,26 @@ int cmd_serve(int argc, const char* const* argv) {
       "single-flight result cache; SIGTERM/SIGINT drain gracefully "
       "(docs/serving.md)");
   cli.add_option("port", "TCP port, 0 = ephemeral (printed on stdout)", &port);
-  cli.add_option("threads", "compute workers, 0 = hardware concurrency", &threads);
+  cli.add_option("threads", "compute workers, 0 = hardware concurrency", &cfg.threads);
   cli.add_option("max-pending",
                  "admission bound before \"overloaded\" responses, 0 = 4x threads",
-                 &max_pending);
-  cli.add_option("cache-capacity", "completed-result LRU entries", &cache_capacity);
+                 &cfg.max_pending);
+  cli.add_option("cache-capacity", "completed-result LRU entries", &cfg.cache_capacity);
   cli.add_option("bank-capacity",
                  "schedule-bank stores for incremental rescheduling across "
                  "deadlines of one graph, 0 = disable",
-                 &bank_capacity);
+                 &cfg.bank_capacity);
   cli.add_option("flight-capacity",
                  "flight-recorder ring slots (per-request phase timelines, "
-                 "served by the flightz admin query)", &flight_capacity);
+                 "served by the flightz admin query)", &cfg.flight_capacity);
   cli.add_option("slow-ms",
                  "promote requests slower than this to warn-level span dumps, "
                  "0 = disable", &slow_ms);
   cli.add_option("metrics-interval",
                  "append a metrics snapshot to --metrics-jsonl every this many "
-                 "seconds, 0 = off", &metrics_interval);
+                 "seconds, 0 = off", &cfg.metrics_interval_s);
   cli.add_option("metrics-jsonl", "metrics time-series file (JSON lines, appended)",
-                 &metrics_jsonl);
+                 &cfg.metrics_jsonl);
   cli.add_option("max-runtime-s",
                  "self-drain after this many seconds, 0 = run until signalled "
                  "(CI smoke harnesses)", &max_runtime_s);
@@ -533,25 +524,25 @@ int cmd_serve(int argc, const char* const* argv) {
                  "long, 0 = off", &read_timeout_ms);
   cli.add_option("idle-timeout-s",
                  "reap connections idle (no complete line) this long, 0 = off",
-                 &idle_timeout_s);
+                 &cfg.idle_timeout_s);
   cli.add_option("max-request-bytes",
                  "per-line byte cap; oversize lines get a typed \"too_large\" "
-                 "error, 0 = unbounded", &max_request_bytes);
+                 "error, 0 = unbounded", &cfg.max_request_bytes);
   cli.add_option("max-write-queue",
                  "per-connection admitted-but-unwritten response bound before "
-                 "disconnect, 0 = unbounded", &max_write_queue);
+                 "disconnect, 0 = unbounded", &cfg.max_write_queue);
   cli.add_option("write-timeout-ms",
                  "disconnect peers that accept no response bytes for this "
                  "long, 0 = off", &write_timeout_ms);
   cli.add_option("default-deadline-ms",
                  "wall-clock budget for requests without \"deadline_ms\", "
-                 "0 = none", &default_deadline_ms);
+                 "0 = none", &cfg.default_deadline_ms);
   cli.add_option("listen-backlog",
                  "listen(2) queue depth absorbing event-loop accept bursts",
-                 &listen_backlog);
+                 &cfg.listen_backlog);
   cli.add_option("sndbuf-bytes",
                  "SO_SNDBUF for accepted sockets, 0 = kernel default",
-                 &sndbuf_bytes);
+                 &cfg.sndbuf_bytes);
   cli.add_option("chaos-spec",
                  "deterministic fault injection, e.g. "
                  "\"seed=42,short_read=0.3,write_reset=0.05\" (falls back to "
@@ -562,27 +553,19 @@ int cmd_serve(int argc, const char* const* argv) {
     std::cerr << "--port must be <= 65535\n";
     return 1;
   }
+  // Values past INT_MAX already fail to parse into the int fields.
+  if (cfg.listen_backlog < 0 || cfg.sndbuf_bytes < 0) {
+    std::cerr << "--listen-backlog and --sndbuf-bytes must be in [0, "
+              << std::numeric_limits<int>::max() << "]\n";
+    return 1;
+  }
+  cfg.port = static_cast<std::uint16_t>(port);
+  cfg.slow_request_s = slow_ms / 1e3;
+  cfg.read_timeout_s = read_timeout_ms / 1e3;
+  cfg.write_timeout_s = write_timeout_ms / 1e3;
 
   return run_observed(oo, "cli/serve", [&]() -> int {
     const int signal_fd = install_drain_signal_handlers();
-    net::ServerConfig cfg;
-    cfg.port = static_cast<std::uint16_t>(port);
-    cfg.threads = threads;
-    cfg.max_pending = max_pending;
-    cfg.cache_capacity = cache_capacity;
-    cfg.bank_capacity = bank_capacity;
-    cfg.flight_capacity = flight_capacity;
-    cfg.slow_request_s = slow_ms / 1e3;
-    cfg.metrics_interval_s = metrics_interval;
-    cfg.metrics_jsonl = metrics_jsonl;
-    cfg.read_timeout_s = read_timeout_ms / 1e3;
-    cfg.idle_timeout_s = idle_timeout_s;
-    cfg.max_request_bytes = max_request_bytes;
-    cfg.max_write_queue = max_write_queue;
-    cfg.write_timeout_s = write_timeout_ms / 1e3;
-    cfg.default_deadline_ms = default_deadline_ms;
-    cfg.listen_backlog = static_cast<int>(listen_backlog);
-    cfg.sndbuf_bytes = static_cast<int>(sndbuf_bytes);
     if (chaos_spec.empty()) {
       if (const char* env = std::getenv("LAMPS_CHAOS"); env != nullptr)
         chaos_spec = env;
