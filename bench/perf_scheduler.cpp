@@ -49,14 +49,19 @@ std::vector<std::uint64_t> snapshot_search_counters() {
   return v;
 }
 
+/// Reports the counter deltas between two snapshots, per run.
+void report_counter_deltas(benchmark::State& state, const std::vector<std::uint64_t>& before,
+                           const std::vector<std::uint64_t>& after, std::size_t runs) {
+  if (runs == 0) return;
+  for (std::size_t i = 0; i < std::size(kSearchCounters); ++i)
+    state.counters[kSearchCounters[i]] = benchmark::Counter(
+        static_cast<double>(after[i] - before[i]) / static_cast<double>(runs));
+}
+
 void report_search_counters(benchmark::State& state,
                             const std::vector<std::uint64_t>& before) {
-  const std::vector<std::uint64_t> after = snapshot_search_counters();
-  const auto iters = static_cast<double>(state.iterations());
-  if (iters <= 0.0) return;
-  for (std::size_t i = 0; i < std::size(kSearchCounters); ++i)
-    state.counters[kSearchCounters[i]] =
-        benchmark::Counter(static_cast<double>(after[i] - before[i]) / iters);
+  report_counter_deltas(state, before, snapshot_search_counters(),
+                        static_cast<std::size_t>(state.iterations()));
 }
 
 const power::PowerModel& model() {
@@ -203,18 +208,6 @@ void BM_LevelSweepGapProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_LevelSweepGapProfile)->Arg(1000)->Arg(5000)->Unit(benchmark::kMicrosecond);
 
-void BM_LampsPsSearchParallel(benchmark::State& state) {
-  const graph::TaskGraph g = random_graph(static_cast<std::size_t>(state.range(0)));
-  core::Problem prob = make_problem(g, 2.0);
-  prob.search_threads = 0;  // hardware concurrency
-  const auto before = snapshot_search_counters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::lamps_schedule_ps(prob));
-  }
-  report_search_counters(state, before);
-}
-BENCHMARK(BM_LampsPsSearchParallel)->Arg(5000)->Unit(benchmark::kMillisecond)->UseRealTime();
-
 // ---- Incremental rescheduling: the dominant serve shape is one graph
 // asked about at many deadlines.  The pair below times the identical
 // request cycle with and without a ScheduleBank; with one, every
@@ -235,33 +228,40 @@ std::vector<core::ServiceRequest> reschedule_cycle(const graph::TaskGraph& g) {
   return reqs;
 }
 
+/// Times `reqs` round-robin.  The counters cover completed cycles only:
+/// the timed loop stops at an iteration count chosen by timing, and a
+/// partial cycle would make them depend on where it stopped.
+void run_reschedule_cycles(benchmark::State& state,
+                           const std::vector<core::ServiceRequest>& reqs,
+                           core::ScheduleBank* bank) {
+  const auto before = snapshot_search_counters();
+  auto at_wrap = before;
+  std::size_t i = 0;
+  std::size_t cycles = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::run_service_request(reqs[i], model(), ladder(), bank));
+    if (++i == reqs.size()) {
+      i = 0;
+      ++cycles;
+      at_wrap = snapshot_search_counters();
+    }
+  }
+  report_counter_deltas(state, before, at_wrap, cycles * reqs.size());
+}
+
 void BM_IncrementalReschedule(benchmark::State& state) {
   const graph::TaskGraph g = random_graph(static_cast<std::size_t>(state.range(0)));
   const std::vector<core::ServiceRequest> reqs = reschedule_cycle(g);
   core::ScheduleBank bank;
   for (const core::ServiceRequest& req : reqs)  // warm the structure's store
     benchmark::DoNotOptimize(core::run_service_request(req, model(), ladder(), &bank));
-  const auto before = snapshot_search_counters();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_service_request(reqs[i], model(), ladder(), &bank));
-    i = (i + 1) % reqs.size();
-  }
-  report_search_counters(state, before);
+  run_reschedule_cycles(state, reqs, &bank);
 }
 BENCHMARK(BM_IncrementalReschedule)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_IncrementalRescheduleScratch(benchmark::State& state) {
   const graph::TaskGraph g = random_graph(static_cast<std::size_t>(state.range(0)));
-  const std::vector<core::ServiceRequest> reqs = reschedule_cycle(g);
-  const auto before = snapshot_search_counters();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_service_request(reqs[i], model(), ladder()));
-    i = (i + 1) % reqs.size();
-  }
-  report_search_counters(state, before);
+  run_reschedule_cycles(state, reschedule_cycle(g), nullptr);
 }
 BENCHMARK(BM_IncrementalRescheduleScratch)
     ->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);

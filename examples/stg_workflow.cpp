@@ -19,9 +19,12 @@
 #include "sim/power_trace.hpp"
 #include "stg/format.hpp"
 #include "util/cli.hpp"
+#include "util/errors.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace lamps;
 
   std::string file = "data/pipeline.stg";
@@ -132,4 +135,20 @@ int main(int argc, char** argv) {
     std::cout << "Trace written to " << trace_path << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const lamps::Error& e) {
+    // Rejected input (a malformed file, a unit or deadline out of range)
+    // maps to its documented exit code, as in the `lamps` CLI.
+    std::cerr << "error: " << e.what() << '\n';
+    return lamps::exit_code_for(e.code());
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

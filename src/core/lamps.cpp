@@ -1,11 +1,7 @@
 #include "core/lamps.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
-#include <optional>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/priority_keys.hpp"
@@ -17,8 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/list_scheduler.hpp"
-#include "util/cancel.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lamps::core {
 
@@ -39,31 +33,6 @@ obs::Counter& c_bound_pruned = obs::counter("search.bound_pruned");
 bool feasible_at_fmax(const sched::Schedule& s, const Problem& prob) {
   const Hertz f_min = min_feasible_frequency(s, *prob.graph, prob.deadline);
   return f_min.value() <= prob.model->max_frequency().value() * (1.0 + 1e-12);
-}
-
-/// Runs body(i) for i in [0, count), serially when the resolved thread
-/// count is 1 (no pool is spun up) and across a transient thread pool
-/// otherwise.  Callers own determinism: each index must be independent and
-/// any reduction must happen serially afterwards, in index order.  The
-/// calling thread's cancellation token (the cell watchdog) is re-installed
-/// in every worker so the budget covers the parallel fan-out too; a
-/// timeout raised inside a worker propagates out of the pool via the
-/// lowest index's future (see parallel_for_index).
-void run_indexed(std::size_t threads, std::size_t count,
-                 const std::function<void(std::size_t)>& body) {
-  std::size_t resolved =
-      threads == 0 ? std::max<std::size_t>(1, std::thread::hardware_concurrency()) : threads;
-  resolved = std::min(resolved, count);
-  if (resolved <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  CancelToken* const token = current_cancel_token();
-  ThreadPool pool(resolved);
-  parallel_for_index(pool, count, [&body, token](std::size_t i) {
-    CancelScope scope(token);
-    body(i);
-  });
 }
 
 /// LB(N) with the critical path and total work precomputed: see
@@ -208,63 +177,46 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
   // Candidates are evaluated from idle-gap profiles wherever possible: the
   // energy and feasibility of a configuration depend on the schedule only
   // through its idle structure and makespan (when deadlines are global),
-  // and all but one candidate's placements are discarded anyway.  Profiles
-  // memoized by the phase-1/speedup probes are moved out and reused; the
-  // rest come from gap-only scheduler runs.  Only the winning count's
-  // schedule is materialized, afterwards, by re-running the (deterministic)
-  // scheduler once.  Per-task explicit deadlines need real finish times,
-  // so that path still schedules fully.
+  // and all but one candidate's placements are discarded anyway.  Every
+  // artifact comes through the cache: a schedule this search holds, else a
+  // profile it holds or finds in the store, else a gap-only scheduler run.
+  // Only the winning count's schedule is materialized, afterwards.  Per-task
+  // explicit deadlines need real finish times, so that path schedules fully.
   const bool profile_ok = !g.has_explicit_deadlines();
   const std::size_t count = n_max - n_min + 1;
-  std::vector<std::shared_ptr<const sched::Schedule>> slots(count);
-  std::vector<std::shared_ptr<const energy::GapProfile>> profs(count);
   std::vector<ConfigEval> evals(count);
-  // Per-slot probe records, written by slot index and appended to the
-  // telemetry sink serially afterwards — the record order is therefore
-  // bit-identical at any search_threads setting.
+  // Per-count probe records, appended to the telemetry sink in ascending-N
+  // order afterwards (N_max is evaluated first).
   std::vector<obs::SearchProbe> p2_probes(tel != nullptr ? count : 0);
 
-  // Artifact lookup for one slot: a schedule or profile this search
-  // already holds, else a store profile (counted inside the cache); a slot
-  // left empty is computed fresh by the fan-out and counted when adopted.
-  // Only slots that are evaluated get here, and pruning decides on the
-  // same inputs with or without a store, so schedules_computed stays
-  // bit-identical.
-  const auto acquire = [&](std::size_t i) {
-    const std::size_t n = n_min + i;
-    if ((slots[i] = cache.schedule_ptr(n)) == nullptr && profile_ok)
-      profs[i] = cache.profile_lookup(n);
-  };
   const auto evaluate = [&](std::size_t i) {
+    const std::size_t n = n_min + i;
     const char* action = nullptr;
-    if (slots[i]) {
+    Cycles makespan = 0;
+    if (const auto held = cache.schedule_ptr(n)) {
       action = "cached-schedule-eval";
-      evals[i] = evaluate_schedule_config(*slots[i], prob, with_ps);
+      evals[i] = evaluate_schedule_config(*held, prob, with_ps);
+      makespan = held->makespan();
     } else if (!profile_ok) {
       action = "schedule-eval";
       c_probe_materialized.inc();
-      slots[i] = std::make_shared<const sched::Schedule>(
-          sched::list_schedule(g, n_min + i, keys, tls_workspace()));
-      evals[i] = evaluate_schedule_config(*slots[i], prob, with_ps);
+      const sched::Schedule& s = cache.at(n);
+      evals[i] = evaluate_schedule_config(s, prob, with_ps);
+      makespan = s.makespan();
     } else {
-      if (!profs[i]) {
-        action = "profile-eval";
-        c_probe_gap_only.inc();
-        profs[i] = std::make_shared<const energy::GapProfile>(
-            energy::GapProfile(sched::list_schedule_gaps(g, n_min + i, keys,
-                                                         tls_workspace())));
-      } else {
-        action = "cached-profile-eval";
-      }
-      evals[i] = evaluate_profile_config(*profs[i], prob, with_ps);
+      const auto found = cache.profile_lookup(n);
+      action = found ? "cached-profile-eval" : "profile-eval";
+      if (!found) c_probe_gap_only.inc();
+      const energy::GapProfile& prof = found ? *found : cache.profile_at(n);
+      evals[i] = evaluate_profile_config(prof, prob, with_ps);
+      makespan = prof.makespan();
     }
     if (tel != nullptr) {
       obs::SearchProbe& p = p2_probes[i];
-      p.num_procs = n_min + i;
+      p.num_procs = n;
       p.phase = "phase2";
       p.action = action;
-      p.makespan = static_cast<std::int64_t>(slots[i] ? slots[i]->makespan()
-                                                      : profs[i]->makespan());
+      p.makespan = static_cast<std::int64_t>(makespan);
       p.feasible = evals[i].feasible ? 1 : 0;
       if (evals[i].feasible) {
         p.level_index = static_cast<std::int64_t>(evals[i].level_index);
@@ -282,21 +234,18 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
     // strictly above E*, so it can be neither the minimum nor its
     // smallest-N tie and is never scheduled.  The bound and the evaluator
     // sum in different orders; the margin keeps rounding from pruning the
-    // true argmin.  Both sides depend only on the problem, never on the
-    // thread count or on an attached store.
+    // true argmin.  Both sides depend only on the problem, never on an
+    // attached store, so schedules_computed stays bit-identical.
     const std::size_t last = count - 1;
-    acquire(last);
     evaluate(last);
     const double cutoff = evals[last].feasible
                               ? evals[last].breakdown.total().value() * (1.0 + 1e-9)
                               : std::numeric_limits<double>::infinity();
-    std::vector<std::size_t> todo;
-    todo.reserve(last);
     for (std::size_t i = 0; i < last; ++i) {
       if (bounds_ok) {
         // Past the ASAP width every count schedules like the width one
         // (schedule_cache.hpp), so charging at most width processors keeps
-        // the bound below whichever artifact the slot would evaluate.
+        // the bound below whichever artifact the count would evaluate.
         const double lb = energy_lower_bound(prob, total_work, cpl,
                                              std::min(n_min + i, cache.width()), with_ps);
         if (lb > cutoff) {
@@ -311,27 +260,8 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
           continue;
         }
       }
-      acquire(i);
-      todo.push_back(i);
+      evaluate(i);
     }
-
-    // The surviving evaluations are independent; fan them out over
-    // prob.search_threads workers.  Results are bit-identical at any
-    // thread count: each slot's schedule and ConfigEval depend only on its
-    // own N, and the argmin reduction below runs serially in ascending-N
-    // order.
-    run_indexed(prob.search_threads, todo.size(),
-                [&](std::size_t k) { evaluate(todo[k]); });
-  }
-
-  // Publish the fan-out's fresh artifacts serially (the cache and its
-  // store are single-threaded by contract); adopt skips, uncounted, what
-  // the search already held.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (slots[i])
-      cache.adopt(n_min + i, slots[i]);
-    else if (profs[i])
-      cache.adopt(n_min + i, profs[i]);
   }
 
   std::size_t best_i = count;  // sentinel: none feasible yet
@@ -348,14 +278,15 @@ StrategyResult lamps_impl(const Problem& prob, bool with_ps) {
     best.breakdown = evals[best_i].breakdown;
     best.completion = evals[best_i].completion;
     if (tel != nullptr) p2_probes[best_i].chosen = true;
-    if (!slots[best_i]) {
+    auto winner = cache.schedule_ptr(best.num_procs);
+    if (!winner) {
       // Winner materialization, free under the acquisition rule: the
       // store's schedule when it has one, else one more scheduler run.
       obs::Span mat_span("lamps/materialize");
       c_probe_materialized.inc();
-      slots[best_i] = cache.materialize(n_min + best_i);
+      winner = cache.materialize(best.num_procs);
     }
-    best.schedule = *slots[best_i];
+    best.schedule = *winner;
   }
   best.schedules_computed = cache.computed();
   if (tel != nullptr) {
@@ -385,10 +316,9 @@ std::vector<SweepPoint> processor_sweep(const Problem& prob, std::size_t max_pro
   const graph::TaskGraph& g = *prob.graph;
   const auto keys = problem_priority_keys(prob);
   std::vector<SweepPoint> out(max_procs);
-  run_indexed(prob.search_threads, max_procs, [&](std::size_t i) {
-    const std::size_t n = i + 1;
+  for (std::size_t n = 1; n <= max_procs; ++n) {
     const sched::Schedule s = sched::list_schedule(g, n, keys, tls_workspace());
-    SweepPoint pt;
+    SweepPoint& pt = out[n - 1];
     pt.num_procs = n;
     pt.makespan = s.makespan();
     const ConfigEval ev = evaluate_schedule_config(s, prob, with_ps);
@@ -397,8 +327,7 @@ std::vector<SweepPoint> processor_sweep(const Problem& prob, std::size_t max_pro
       pt.level_index = ev.level_index;
       pt.energy = ev.breakdown.total();
     }
-    out[i] = pt;
-  });
+  }
   return out;
 }
 

@@ -14,10 +14,22 @@
 #include "power/sleep_model.hpp"
 #include "sched/priorities.hpp"
 #include "sched/schedule.hpp"
+#include "util/errors.hpp"
 
 namespace lamps::core {
 
 struct ProfileStore;
+
+/// `deadline` in cycles at frequency `f_max`.  Throws InputError(kConfig)
+/// for a negative deadline and past 2^63 - 1 cycles (about 94 years at
+/// 3.1 GHz): the EDF keys (sched::DeadlineCycles) are signed 64-bit, and
+/// the cast itself is undefined below 0 and past 2^64.
+[[nodiscard]] inline Cycles deadline_cycles(Seconds deadline, Hertz f_max) {
+  const double cycles = deadline.value() * f_max.value() * (1.0 + 1e-12);
+  if (!(cycles >= 0.0 && cycles < 0x1p63))  // also rejects NaN
+    throw InputError(ErrorCode::kConfig, "deadline must lie in [0, 2^63) cycles at f_max");
+  return static_cast<Cycles>(cycles);
+}
 
 /// One scheduling problem instance.  The referenced graph/model/ladder must
 /// outlive the Problem (strategies are pure functions over it).
@@ -35,18 +47,11 @@ struct Problem {
   /// Seed for the kRandom priority policy.
   std::uint64_t priority_seed{0};
 
-  /// Worker threads for the LAMPS phase-2 / processor_sweep fan-out over
-  /// independent processor counts.  1 (default) runs serially — the
-  /// experiment pipeline already parallelizes across instances — and 0
-  /// selects the hardware concurrency.  Results are bit-identical at any
-  /// thread count (deterministic index-ordered reduction).
-  std::size_t search_threads{1};
-
   /// Optional search-telemetry sink.  When non-null, the configuration
   /// searches (LAMPS, LAMPS+PS, S&S, S&S+PS) record every probed
   /// processor count and the chosen configuration into it.  Observation
-  /// only: results are bit-identical with or without a sink, at any
-  /// search_threads setting.  Not owned; must outlive the strategy call.
+  /// only: results are bit-identical with or without a sink.  Not owned;
+  /// must outlive the strategy call.
   obs::SearchTelemetry* telemetry{nullptr};
 
   /// Optional cross-request store of deadline-invariant schedules and
@@ -63,7 +68,7 @@ struct Problem {
   /// Deadline expressed in cycles at the maximum frequency: a schedule is
   /// feasible at f_max iff its makespan (cycles) fits below this.
   [[nodiscard]] Cycles deadline_cycles_at_fmax() const {
-    return static_cast<Cycles>(deadline.value() * model->max_frequency().value() * (1.0 + 1e-12));
+    return deadline_cycles(deadline, model->max_frequency());
   }
 };
 

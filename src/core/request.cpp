@@ -79,7 +79,6 @@ StrategyResult run_service_request(const ServiceRequest& req,
   prob.ladder = &ladder;
   prob.deadline = req.deadline;
   prob.policy = req.policy;
-  prob.search_threads = 1;
   if (bank != nullptr && !req.graph.has_explicit_deadlines()) {
     // Lease held for the whole strategy run: same-structure requests
     // serialize on the store, distinct structures proceed in parallel.

@@ -122,8 +122,7 @@ std::vector<InstanceResult> run_sweep(const std::vector<SuiteEntry>& entries,
 
     // Attempt loop: one mandatory attempt plus up to max_retries extra ones
     // for *retryable* failures, with doubling backoff.  Each attempt runs
-    // under a fresh watchdog token installed for this thread (run_indexed
-    // re-installs it in any nested fan-out workers).
+    // under a fresh watchdog token installed for this thread.
     for (std::size_t attempt = 0;; ++attempt) {
       try {
         if (config.fault_injector) config.fault_injector(out, attempt);

@@ -124,18 +124,4 @@ std::shared_ptr<const sched::Schedule> ScheduleCache::materialize(std::size_t n)
   return it->second;
 }
 
-void ScheduleCache::adopt(std::size_t n, std::shared_ptr<const sched::Schedule> s) {
-  const std::size_t key = clamp(n);
-  if (holds(key, kSchedule)) return;
-  store_->schedules.try_emplace(key, std::move(s));
-  acquire(key, kSchedule);
-}
-
-void ScheduleCache::adopt(std::size_t n, std::shared_ptr<const energy::GapProfile> p) {
-  const std::size_t key = clamp(n);
-  if (holds(key, kProfile)) return;
-  store_->profiles.try_emplace(key, std::move(p));
-  acquire(key, kProfile);
-}
-
 }  // namespace lamps::core

@@ -2,9 +2,9 @@
 //
 // LAMPS phase 1, schedule_max_speedup and LAMPS phase 2 all invoke the
 // list scheduler on the same (graph, priority keys) with overlapping
-// processor counts; the cache computes each count once, on the calling
-// thread's workspace (tls_workspace), and clamps counts at the graph's
-// ASAP concurrency width:
+// processor counts.  Every scheduler run of a search goes through the
+// cache, which computes each count once, on the calling thread's workspace
+// (tls_workspace), and clamps counts at the graph's ASAP concurrency width:
 //
 //   With num_procs >= width, the dispatch loop never runs out of free
 //   processors (at most width tasks are ever simultaneously runnable, and
@@ -52,8 +52,8 @@
 namespace lamps::core {
 
 /// The calling thread's scheduling workspace, shared by every
-/// configuration search that runs on it (the ScheduleCache, the LAMPS
-/// phase-2 fan-out, processor_sweep).  Persisting it across calls means
+/// configuration search that runs on it (the ScheduleCache and
+/// processor_sweep).  Persisting it across calls means
 /// the priority ranking is re-sorted only when the keys actually change,
 /// and the scratch buffers stop being reallocated per call.
 [[nodiscard]] sched::ListScheduleWorkspace& tls_workspace();
@@ -102,12 +102,6 @@ class ScheduleCache {
   /// Schedule for `n` for the LAMPS winner's materialization: the store's,
   /// else a fresh run published to the store.  Never counts.
   [[nodiscard]] std::shared_ptr<const sched::Schedule> materialize(std::size_t n);
-
-  /// Publishes an artifact the phase-2 fan-out computed outside the cache
-  /// and counts its acquisition; a no-op for an artifact this search
-  /// already holds.
-  void adopt(std::size_t n, std::shared_ptr<const sched::Schedule> s);
-  void adopt(std::size_t n, std::shared_ptr<const energy::GapProfile> p);
 
   /// Artifacts this search has acquired (see file header): what
   /// StrategyResult.schedules_computed reports.

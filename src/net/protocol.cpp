@@ -144,6 +144,9 @@ ParsedRequest parse_schedule_request(const std::string& line,
     deadline = Seconds{static_cast<double>(graph::critical_path_length(scaled)) /
                        model.max_frequency().value() * factor};
   }
+  // The searches' own conversion, run here so the request is rejected as
+  // bad input before it reaches a cache or the pool.
+  (void)core::deadline_cycles(deadline, model.max_frequency());
 
   const double deadline_ms = doc.get_number("deadline_ms", 0.0);
   if (doc.get("deadline_ms") != nullptr && deadline_ms <= 0.0)

@@ -6,9 +6,7 @@
 //
 // Recording is opt-in and observation-only: a strategy records iff the
 // caller hangs a SearchTelemetry off core::Problem::telemetry, and the
-// record never feeds back into any decision.  The parallel phase-2 scan
-// writes its probes by slot index, so the record is bit-identical at any
-// search_threads setting.
+// record never feeds back into any decision.
 //
 // This header is dependency-free on purpose (obs sits below util in the
 // module stack): processor counts and makespans are plain integers here,

@@ -15,9 +15,9 @@
 // stride of 256 and event-loop iterations in the tens of nanoseconds, the
 // detection latency is microseconds — noise against budgets of seconds.
 //
-// Tokens do not propagate across threads automatically; fan-out helpers
-// that ship work to a pool (core's run_indexed) re-install the parent
-// token in each worker so a cell's budget covers its parallel phases too.
+// Tokens do not propagate across threads automatically: a token covers
+// the work its installing thread runs (a configuration search runs on the
+// thread that calls it).
 #pragma once
 
 #include <atomic>

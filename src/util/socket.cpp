@@ -53,6 +53,27 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
   return static_cast<int>(std::min<long long>(left, 1000 * 60 * 60 * 24));
 }
 
+/// poll(2) on one fd for `events`; true when they (or a hangup / error)
+/// are reported, false on timeout or a hard poll failure.
+bool poll_one(int fd, short events, int timeout_ms) {
+  pollfd pfd{fd, events, 0};
+  const bool bounded = timeout_ms >= 0;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(bounded ? timeout_ms : 0);
+  int wait_ms = timeout_ms;
+  for (;;) {
+    pfd.revents = 0;
+    const int rc = ::poll(&pfd, 1, wait_ms);
+    if (rc > 0) return (pfd.revents & (events | POLLHUP | POLLERR)) != 0;
+    if (rc == 0) return false;          // genuine timeout
+    if (errno != EINTR) return false;   // hard poll failure
+    if (bounded) {
+      wait_ms = remaining_ms(deadline);  // EINTR: retry with what's left
+      if (wait_ms == 0) return false;
+    }
+  }
+}
+
 }  // namespace
 
 Socket::SendStatus Socket::send_all_deadline(std::string_view data,
@@ -223,52 +244,9 @@ Socket connect_tcp(std::uint16_t port, const std::string& host) {
   return std::move(*sock);
 }
 
-unsigned poll_readable(int fd1, int fd2, int timeout_ms) {
-  pollfd fds[2];
-  nfds_t n = 0;
-  fds[n++] = pollfd{fd1, POLLIN, 0};
-  if (fd2 >= 0) fds[n++] = pollfd{fd2, POLLIN, 0};
-  const bool bounded = timeout_ms >= 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  int wait_ms = timeout_ms;
-  for (;;) {
-    fds[0].revents = 0;
-    if (n > 1) fds[1].revents = 0;
-    const int rc = ::poll(fds, n, wait_ms);
-    if (rc > 0) {
-      unsigned mask = 0;
-      if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) mask |= 1u;
-      if (n > 1 && (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) mask |= 2u;
-      return mask;
-    }
-    if (rc == 0) return 0;              // genuine timeout
-    if (errno != EINTR) return 0;       // hard poll failure: nothing ready
-    if (bounded) {
-      wait_ms = remaining_ms(deadline);  // EINTR: retry with what's left
-      if (wait_ms == 0) return 0;
-    }
-  }
-}
+bool poll_readable(int fd, int timeout_ms) { return poll_one(fd, POLLIN, timeout_ms); }
 
-bool poll_writable(int fd, int timeout_ms) {
-  pollfd pfd{fd, POLLOUT, 0};
-  const bool bounded = timeout_ms >= 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  int wait_ms = timeout_ms;
-  for (;;) {
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, wait_ms);
-    if (rc > 0) return (pfd.revents & (POLLOUT | POLLHUP | POLLERR)) != 0;
-    if (rc == 0) return false;          // genuine timeout
-    if (errno != EINTR) return false;   // hard poll failure
-    if (bounded) {
-      wait_ms = remaining_ms(deadline);  // EINTR: retry with what's left
-      if (wait_ms == 0) return false;
-    }
-  }
-}
+bool poll_writable(int fd, int timeout_ms) { return poll_one(fd, POLLOUT, timeout_ms); }
 
 bool LineReader::has_buffered_line() const {
   return buffer_.find('\n') != std::string::npos;
@@ -362,7 +340,7 @@ LineReader::Status LineReader::read_line(std::string& out) {
     if (filled == Status::kError) return filled;
     // A non-blocking fd would spin here; park in poll until readable so
     // read_line keeps its blocking contract either way.
-    if (filled == Status::kWouldBlock) (void)poll_readable(fd_, -1, -1);
+    if (filled == Status::kWouldBlock) (void)poll_readable(fd_, -1);
     // kEof loops once more so next_line can flush the final line.
   }
 }

@@ -2,9 +2,8 @@
 //
 // Deliberately minimal: blocking sockets, IPv4 loopback-style addressing,
 // RAII fd ownership, and a buffered line reader — everything the
-// JSON-lines protocol needs and nothing more.  Readiness multiplexing
-// (accept loops, drain wake-ups) goes through poll_readable so callers
-// can mix a socket with a signal self-pipe.
+// JSON-lines protocol needs and nothing more.  Blocking waits with a
+// bound go through poll_readable / poll_writable.
 //
 // Robustness hooks (all opt-in, zero cost when unused):
 //   - send_all_deadline bounds how long a write may stall on a slow peer;
@@ -125,11 +124,11 @@ class ListenSocket {
 /// InternalError(kIo) on failure.
 [[nodiscard]] Socket connect_tcp(std::uint16_t port, const std::string& host = "127.0.0.1");
 
-/// poll(2) on up to two fds (`fd2 < 0` = only one).  Returns a bitmask:
-/// bit 0 set when fd1 is readable/EOF, bit 1 for fd2.  0 on timeout;
-/// `timeout_ms < 0` blocks indefinitely.  EINTR is retried with the
-/// remaining budget, never reported as a timeout.
-[[nodiscard]] unsigned poll_readable(int fd1, int fd2, int timeout_ms);
+/// poll(2) for readability on one fd.  True when readable (or at EOF /
+/// error — the next recv surfaces it); false on timeout.  `timeout_ms < 0`
+/// blocks indefinitely.  EINTR is retried with the remaining budget, never
+/// reported as a timeout.
+[[nodiscard]] bool poll_readable(int fd, int timeout_ms);
 
 /// poll(2) for writability on one fd.  True when writable (or the peer
 /// hung up — the next send surfaces the error); false on timeout.  EINTR

@@ -10,7 +10,7 @@ namespace lamps {
 namespace {
 
 // Shared across pools (the registry aggregates); 1 µs .. ~4 s buckets
-// cover everything from a phase-2 gap-only probe to a full experiment
+// cover everything from a small serve request to a full experiment
 // instance.
 obs::Histogram& wait_hist() {
   static obs::Histogram& h = obs::histogram(

@@ -110,6 +110,9 @@ struct BadStgCase {
   ErrorCode code;
   const char* context;           ///< expected Error::context()
   const char* message_fragment;  ///< substring of Error::message()
+
+  // Names the case by its label in test ids, not by its pointer bytes.
+  friend void PrintTo(const BadStgCase& c, std::ostream* os) { *os << c.label; }
 };
 
 class MalformedStg : public ::testing::TestWithParam<BadStgCase> {};

@@ -98,20 +98,24 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(
       (void)parse_schedule_request(request_line(stg_text, "BOGUS", "1"), model),
       InputError);
-  // invalid deadline factor
-  {
+  // invalid deadlines: a non-positive factor, and deadlines past 2^63 - 1
+  // cycles at f_max, where the EDF keys (signed 64-bit) would wrap
+  for (const char* field :
+       {"\"deadline_factor\":-1", "\"deadline_factor\":1e11", "\"deadline_s\":1e11"}) {
     std::ostringstream os;
     os << "{\"stg\":";
     write_json_string(os, stg_text);
-    os << ",\"deadline_factor\":-1}";
-    EXPECT_THROW((void)parse_schedule_request(os.str(), model), InputError);
+    os << ',' << field << '}';
+    EXPECT_THROW((void)parse_schedule_request(os.str(), model), InputError) << field;
   }
 }
 
 TEST(Protocol, RejectsUnitsThatDoNotFitWholeCycles) {
   const power::PowerModel model;
+  // A one-second deadline, so that only the unit decides: the default, twice
+  // the critical path, is past 2^63 cycles at the largest accepted unit.
   const auto with_unit = [](const std::string& unit) {
-    return R"({"stg":"1\n0 0 0\n1 10 1 0\n2 0 1 1\n","unit":)" + unit + "}";
+    return R"({"stg":"1\n0 0 0\n1 10 1 0\n2 0 1 1\n","deadline_s":1,"unit":)" + unit + "}";
   };
   for (const char* unit : {"0.5", "1.5", "1e30", "18446744073709551616", "1e19"}) {
     try {
@@ -259,13 +263,13 @@ TEST(DrainSignal, RequestAndResetRoundTrip) {
   EXPECT_EQ(fd, drain_signal_fd());
   reset_drain_signal_for_testing();
   EXPECT_FALSE(drain_signal_pending());
-  EXPECT_EQ(poll_readable(fd, -1, 0), 0U);
+  EXPECT_FALSE(poll_readable(fd, 0));
   request_drain_signal();
   EXPECT_TRUE(drain_signal_pending());
-  EXPECT_EQ(poll_readable(fd, -1, 0), 1U);
+  EXPECT_TRUE(poll_readable(fd, 0));
   reset_drain_signal_for_testing();
   EXPECT_FALSE(drain_signal_pending());
-  EXPECT_EQ(poll_readable(fd, -1, 0), 0U);
+  EXPECT_FALSE(poll_readable(fd, 0));
 }
 
 TEST(ServeIntegration, ConcurrentClientsGetBitIdenticalResults) {

@@ -579,7 +579,7 @@ int cmd_serve(int argc, const char* const* argv) {
 
     const auto started = std::chrono::steady_clock::now();
     while (!drain_signal_pending()) {
-      (void)poll_readable(signal_fd, -1, 250);
+      (void)poll_readable(signal_fd, 250);
       if (max_runtime_s > 0.0 &&
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
                   .count() >= max_runtime_s) {

@@ -2,9 +2,8 @@
 // `lamps serve` (docs/serving.md).
 //
 // Generates a corpus of random STG graphs, fires them as inline JSON-lines
-// requests over N parallel connections (closed-loop by default, open-loop
-// paced with --rate), and measures the end-to-end latency distribution and
-// throughput.  With --check (default on) every response's "result" object
+// requests over N parallel closed-loop connections, and measures the
+// end-to-end latency distribution and throughput.  With --check (default on) every response's "result" object
 // is compared byte-for-byte against a direct in-process
 // core::run_service_request call on the identical request — the serve
 // path's bit-exactness contract.
@@ -127,7 +126,7 @@ RecvResult recv_line(LineReader& reader, int fd, int timeout_ms, std::string& ou
       if (left.count() <= 0) return RecvResult::kTimeout;
       wait_ms = static_cast<int>(left.count());
     }
-    if ((poll_readable(fd, -1, wait_ms) & 1u) == 0) {
+    if (!poll_readable(fd, wait_ms)) {
       if (timeout_ms >= 0 && Clock::now() >= deadline) return RecvResult::kTimeout;
       continue;  // EINTR
     }
@@ -230,67 +229,6 @@ void run_connection_closed(std::uint16_t port, const std::vector<RequestSpec>& c
   }
 }
 
-/// Open-loop (--rate) legacy client: pipelined sends on a fixed schedule,
-/// no retries — measures what the daemon does under a fixed offered load.
-void run_connection_open(std::uint16_t port, const std::vector<RequestSpec>& corpus,
-                         std::size_t first, std::size_t count, bool check,
-                         double interval_s, Clock::time_point run_t0,
-                         ConnStats& stats) {
-  const Socket sock = connect_tcp(port);
-  LineReader reader(sock.fd());
-  std::vector<Clock::time_point> send_times(count);
-  std::string response;
-
-  std::size_t sent = 0;
-  std::size_t received = 0;
-  const auto t0 = Clock::now();
-  auto consume_response = [&](std::size_t i) {
-    if (reader.read_line(response) != LineReader::Status::kLine) {
-      ++stats.errors;
-      return false;
-    }
-    const auto now = Clock::now();
-    stats.latencies_s.push_back(
-        std::chrono::duration<double>(now - send_times[i]).count());
-    stats.completed_at_s.push_back(
-        std::chrono::duration<double>(now - run_t0).count());
-    if (response.find("\"ok\":true") == std::string::npos) {
-      ++stats.errors;
-      return true;
-    }
-    ++stats.ok;
-    ++stats.first_try_ok;
-    if (response.find("\"cached\":true") != std::string::npos) ++stats.cached;
-    if (check &&
-        net::extract_result_json(response) != corpus[(first + i) % corpus.size()].expected)
-      ++stats.mismatches;
-    return true;
-  };
-
-  bool alive = true;
-  while (sent < count && alive) {
-    // Open-loop: hold the schedule even when responses lag behind.
-    const auto due = t0 + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  static_cast<double>(sent) * interval_s));
-    std::this_thread::sleep_until(due);
-    send_times[sent] = Clock::now();
-    if (!sock.send_all(corpus[(first + sent) % corpus.size()].line)) {
-      stats.errors += count - sent;
-      alive = false;
-      break;
-    }
-    ++sent;
-  }
-  while (alive && received < sent) {
-    if (!consume_response(received)) {
-      stats.errors += sent - received - 1;
-      break;
-    }
-    ++received;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -300,7 +238,6 @@ int main(int argc, char** argv) {
   std::size_t tasks = 100;
   std::size_t corpus_size = 8;
   std::size_t server_threads = 0;
-  double rate = 0.0;
   double deadline_factor = 2.0;
   bool no_check = false;
   bool serve_telemetry = false;
@@ -325,8 +262,6 @@ int main(int argc, char** argv) {
                            "pressure rises as this shrinks)", &corpus_size);
   cli.add_option("server-threads",
                  "self-hosted server workers, 0 = hardware concurrency", &server_threads);
-  cli.add_option("rate", "open-loop request rate per connection [req/s], 0 = closed-loop",
-                 &rate);
   cli.add_option("deadline-factor", "deadline as a multiple of the CPL", &deadline_factor);
   cli.add_flag("no-check", "skip the bit-exactness comparison", &no_check);
   cli.add_flag("serve-telemetry",
@@ -344,10 +279,10 @@ int main(int argc, char** argv) {
                  &retry_backoff_ms);
   cli.add_option("retries",
                  "extra attempts per request on retryable errors "
-                 "(overloaded / deadline_exceeded / transport), closed-loop only",
+                 "(overloaded / deadline_exceeded / transport)",
                  &retries);
   cli.add_option("response-timeout-ms",
-                 "per-response wait bound in the closed-loop client, 0 = none",
+                 "per-response wait bound, 0 = none",
                  &response_timeout_ms);
   cli.add_option("request-deadline-ms",
                  "attach this \"deadline_ms\" budget to every request, 0 = none",
@@ -462,7 +397,6 @@ int main(int argc, char** argv) {
         response_timeout_ms > 0.0 ? static_cast<int>(response_timeout_ms) : -1;
     ropts.seed = jitter_seed;
 
-    const double interval_s = rate > 0.0 ? 1.0 / rate : 0.0;
     const std::size_t per_conn = (requests + connections - 1) / connections;
     std::vector<ConnStats> stats(connections);
     std::vector<std::thread> clients;
@@ -473,12 +407,8 @@ int main(int argc, char** argv) {
       const std::size_t count = std::min(per_conn, requests - std::min(requests, begin));
       if (count == 0) break;
       clients.emplace_back([&, c, begin, count] {
-        if (interval_s > 0.0)
-          run_connection_open(target_port, corpus, begin, count, !no_check,
-                              interval_s, t0, stats[c]);
-        else
-          run_connection_closed(target_port, corpus, begin, count, !no_check,
-                                ropts, t0, stats[c]);
+        run_connection_closed(target_port, corpus, begin, count, !no_check, ropts, t0,
+                              stats[c]);
       });
     }
     for (auto& t : clients) t.join();
@@ -532,8 +462,7 @@ int main(int argc, char** argv) {
     const double denom = requests > 0 ? static_cast<double>(requests) : 1.0;
 
     std::cout << "requests: " << requests << " over " << clients.size()
-              << " connections (" << (interval_s > 0.0 ? "open" : "closed")
-              << "-loop)\n"
+              << " connections\n"
               << "ok: " << total.ok << "  cached: " << total.cached
               << "  errors: " << total.errors << "  gave_up: " << total.gave_up
               << "  mismatches: " << total.mismatches << '\n'
@@ -570,7 +499,6 @@ int main(int argc, char** argv) {
          << "  \"connections\": " << clients.size() << ",\n"
          << "  \"corpus\": " << corpus_size << ",\n"
          << "  \"tasks_per_graph\": " << tasks << ",\n"
-         << "  \"mode\": \"" << (interval_s > 0.0 ? "open" : "closed") << "-loop\",\n"
          << "  \"ok\": " << total.ok << ",\n"
          << "  \"first_try_ok\": " << total.first_try_ok << ",\n"
          << "  \"retried_ok\": " << total.retried_ok << ",\n"
