@@ -2,31 +2,9 @@
 
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace lamps::graph {
-
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void write_dot(const TaskGraph& g, std::ostream& os) {
   os << "digraph \"" << g.name() << "\" {\n  rankdir=TB;\n  node [shape=box];\n";

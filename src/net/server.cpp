@@ -155,7 +155,6 @@ void Server::start() {
     obs::MetricsFlusher::Options fopts;
     fopts.interval_s = config_.metrics_interval_s;
     fopts.path = config_.metrics_jsonl;
-    fopts.hook = config_.metrics_hook;
     flusher_ = std::make_unique<obs::MetricsFlusher>(std::move(fopts));
     try {
       flusher_->start();

@@ -86,10 +86,9 @@ struct ServerConfig {
   /// disables promotion.
   double slow_request_s{1.0};
   /// > 0 starts a background obs::MetricsFlusher appending one registry
-  /// snapshot per interval to `metrics_jsonl` and/or `metrics_hook`.
+  /// snapshot per interval to `metrics_jsonl`.
   double metrics_interval_s{0.0};
   std::string metrics_jsonl;
-  obs::MetricsFlusher::SampleHook metrics_hook;
   /// Mid-line stall bound: a connection whose request line stops making
   /// byte progress for this long is closed (serve.read_timeouts).
   /// <= 0 disables.

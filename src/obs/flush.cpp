@@ -87,12 +87,10 @@ void MetricsFlusher::emit_sample_locked() {
   // Each sample's gauge max is the peak within its own interval.
   reg.reset_gauge_maxes();
 
-  const std::string line = os.str();
   if (out_.is_open()) {
-    out_ << line << '\n';
+    out_ << os.str() << '\n';
     out_.flush();
   }
-  if (opts_.hook) opts_.hook(line);
   ++samples_;
 }
 

@@ -17,15 +17,14 @@
 // shared trace clock (obs::monotonic_ns), so samples line up with spans
 // and log records.
 //
-// Samples can go to a file (append), to a callback (lamps_loadgen embeds
-// them in its benchmark report), or both.  stop() emits one final sample
-// so the series always covers the full lifetime.
+// Samples are appended to a file; with an empty path the flusher still
+// samples (and re-arms the gauge maxima) but writes nothing.  stop() emits
+// one final sample so the series always covers the full lifetime.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -35,12 +34,9 @@ namespace lamps::obs {
 
 class MetricsFlusher {
  public:
-  using SampleHook = std::function<void(const std::string& json_line)>;
-
   struct Options {
     double interval_s{1.0};  ///< clamped to >= 0.01
-    std::string path;        ///< JSONL file to append to ("" = hook only)
-    SampleHook hook;         ///< also invoked with each sample line
+    std::string path;        ///< JSONL file to append to ("" = none)
   };
 
   explicit MetricsFlusher(Options opts);

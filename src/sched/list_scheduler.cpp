@@ -16,10 +16,9 @@ namespace lamps::sched {
 
 namespace {
 
-// Scheduler run mix: full placements vs makespan-only vs gap-only runs
+// Scheduler run mix: full placements vs gap-only runs
 // (docs/observability.md).
 obs::Counter& c_runs_full = obs::counter("scheduler.runs_full");
-obs::Counter& c_runs_makespan = obs::counter("scheduler.runs_makespan");
 obs::Counter& c_runs_gaps = obs::counter("scheduler.runs_gaps");
 
 struct ReadyEntry {
@@ -375,16 +374,6 @@ Schedule list_schedule(const graph::TaskGraph& g, std::size_t num_procs,
         schedule.place(v, p, start, finish);
       });
   return schedule;
-}
-
-Cycles list_schedule_makespan(const graph::TaskGraph& g, std::size_t num_procs,
-                              std::span<const std::int64_t> priority_keys,
-                              ListScheduleWorkspace& ws) {
-  check_list_schedule_args(g, num_procs, priority_keys);
-  c_runs_makespan.inc();
-  ws.prepare(g, priority_keys);
-  return ListScheduleWorkspace::run_event_loop(g, num_procs, ws,
-                                               [](graph::TaskId, ProcId, Cycles, Cycles) {});
 }
 
 const GapRun& list_schedule_gaps(const graph::TaskGraph& g, std::size_t num_procs,

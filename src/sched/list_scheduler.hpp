@@ -72,9 +72,6 @@ class ListScheduleWorkspace {
   friend Schedule list_schedule(const graph::TaskGraph& g, std::size_t num_procs,
                                 std::span<const std::int64_t> priority_keys,
                                 ListScheduleWorkspace& ws);
-  friend Cycles list_schedule_makespan(const graph::TaskGraph& g, std::size_t num_procs,
-                                       std::span<const std::int64_t> priority_keys,
-                                       ListScheduleWorkspace& ws);
   friend const GapRun& list_schedule_gaps(const graph::TaskGraph& g, std::size_t num_procs,
                                           std::span<const std::int64_t> priority_keys,
                                           ListScheduleWorkspace& ws);
@@ -192,13 +189,12 @@ class ListScheduleWorkspace {
   /// microseconds at search sizes — is what keeps the cache airtight.
   [[nodiscard]] bool rank_image_matches(const graph::TaskGraph& g) const;
 
-  /// The shared event loop behind list_schedule and list_schedule_makespan.
-  /// `place(v, p, start, finish)` records a placement — a no-op functor
-  /// turns the run into a makespan-only probe with zero materialization
-  /// cost.  Returns the makespan.  Carves the run's scratch from the
-  /// arena and dispatches to `drive` with either the bitmask pending
-  /// queue (num_procs <= 64) or the calendar.  Defined (and only
-  /// instantiated) in list_scheduler.cpp.
+  /// The shared event loop behind list_schedule and list_schedule_gaps.
+  /// `place(v, p, start, finish)` receives each placement — the Schedule
+  /// records it, the gap sink folds it into idle structure.  Returns the
+  /// makespan.  Carves the run's scratch from the arena and dispatches to
+  /// `drive` with either the bitmask pending queue (num_procs <= 64) or
+  /// the calendar.  Defined (and only instantiated) in list_scheduler.cpp.
   template <typename PlaceFn>
   static Cycles run_event_loop(const graph::TaskGraph& g, std::size_t num_procs,
                                ListScheduleWorkspace& ws, PlaceFn&& place);
@@ -254,15 +250,6 @@ class ListScheduleWorkspace {
 [[nodiscard]] Schedule list_schedule(const graph::TaskGraph& g, std::size_t num_procs,
                                      std::span<const std::int64_t> priority_keys,
                                      ListScheduleWorkspace& ws);
-
-/// Runs the identical event loop but records no placements, returning only
-/// the makespan.  For search probes that compare makespans (e.g. the
-/// schedule_max_speedup binary search) this skips the entire Schedule
-/// materialization cost.  Equal by construction to
-/// `list_schedule(g, num_procs, priority_keys, ws).makespan()`.
-[[nodiscard]] Cycles list_schedule_makespan(const graph::TaskGraph& g, std::size_t num_procs,
-                                            std::span<const std::int64_t> priority_keys,
-                                            ListScheduleWorkspace& ws);
 
 /// Runs the identical event loop but records only the idle structure
 /// (busy totals, leading/internal/trailing gaps) instead of placements.

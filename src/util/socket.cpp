@@ -42,9 +42,8 @@ void Socket::close() {
 
 namespace {
 
-// Milliseconds left until `deadline` (clamped to >= 0).  Shared by the
-// deadline-aware send/poll loops below so EINTR and partial progress
-// always re-arm with the *remaining* budget, never a fresh one.
+// Milliseconds left until `deadline` (clamped to >= 0), so poll_one's
+// EINTR retries re-arm with the *remaining* budget, never a fresh one.
 int remaining_ms(std::chrono::steady_clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
                         deadline - std::chrono::steady_clock::now())
@@ -76,51 +75,6 @@ bool poll_one(int fd, short events, int timeout_ms) {
 
 }  // namespace
 
-Socket::SendStatus Socket::send_all_deadline(std::string_view data,
-                                             int timeout_ms) const {
-  // The deadline is cumulative: anchored once here, not per chunk.  A
-  // peer draining one byte per poll window makes progress but must still
-  // finish the whole buffer inside the budget.
-  const bool bounded = timeout_ms >= 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  const char* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    std::size_t chunk = left;
-    if (fault_ != nullptr) {
-      const FaultInjector::WritePlan plan = fault_->plan_write(left);
-      if (plan.reset) {
-        errno = EPIPE;
-        return SendStatus::kError;
-      }
-      chunk = std::min(left, plan.chunk);
-      if (plan.pause_us > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(plan.pause_us));
-    }
-    // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not kill the
-    // daemon with SIGPIPE.  MSG_DONTWAIT + poll bounds how long a full
-    // peer receive window may stall us.
-    const ssize_t n = ::send(fd_, p, chunk, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        int wait_ms = -1;
-        if (bounded) {
-          wait_ms = remaining_ms(deadline);
-          if (wait_ms == 0) return SendStatus::kTimeout;
-        }
-        if (!poll_writable(fd_, wait_ms)) return SendStatus::kTimeout;
-        continue;
-      }
-      return SendStatus::kError;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return SendStatus::kOk;
-}
-
 Socket::IoStatus Socket::send_some(std::string_view data, std::size_t* sent) const {
   *sent = 0;
   if (data.empty()) return IoStatus::kOk;
@@ -145,6 +99,23 @@ Socket::IoStatus Socket::send_some(std::string_view data, std::size_t* sent) con
     if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kWouldBlock;
     return IoStatus::kError;
   }
+}
+
+bool Socket::send_all(std::string_view data) const {
+  while (!data.empty()) {
+    std::size_t sent = 0;
+    switch (send_some(data, &sent)) {
+      case IoStatus::kOk:
+        data.remove_prefix(sent);
+        break;
+      case IoStatus::kWouldBlock:
+        if (!poll_writable(fd_, -1)) return false;
+        break;
+      case IoStatus::kError:
+        return false;
+    }
+  }
+  return true;
 }
 
 bool Socket::set_nonblocking(bool on) const {

@@ -1,12 +1,14 @@
-// Thin POSIX TCP helpers for the serving path (net/server, lamps_loadgen).
+// Thin POSIX TCP helpers for the JSON-lines protocol: RAII fd ownership,
+// IPv4 loopback-style addressing and a buffered line reader.
 //
-// Deliberately minimal: blocking sockets, IPv4 loopback-style addressing,
-// RAII fd ownership, and a buffered line reader — everything the
-// JSON-lines protocol needs and nothing more.  Blocking waits with a
-// bound go through poll_readable / poll_writable.
+// The server (net/server) runs non-blocking sockets on its event loop:
+// it writes through send_some, reads through LineReader::fill, and keeps
+// its read, idle and write-stall budgets on the loop's timer wheel.  The
+// blocking helpers — send_all, LineReader::read_line, poll_readable /
+// poll_writable and the connect calls — serve clients: lamps_loadgen,
+// `lamps top` and the tests.
 //
 // Robustness hooks (all opt-in, zero cost when unused):
-//   - send_all_deadline bounds how long a write may stall on a slow peer;
 //   - try_connect_tcp bounds the connect handshake;
 //   - LineReader can cap the per-line buffer (oversize lines surface as
 //     Status::kOverflow and the stream resynchronizes at the next '\n');
@@ -43,17 +45,6 @@ class Socket {
   /// injector must outlive the socket's sends.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
 
-  enum class SendStatus { kOk, kTimeout, kError };
-
-  /// Writes the whole buffer (retrying partial writes / EINTR) under a
-  /// cumulative deadline: `timeout_ms` is anchored once at entry and each
-  /// wait for window space gets only the remaining budget, so a slow-loris
-  /// peer draining one byte per window cannot stall the writer forever
-  /// (-1 = unbounded).  kError once the peer is gone (EPIPE/ECONNRESET)
-  /// or on any other failure.
-  [[nodiscard]] SendStatus send_all_deadline(std::string_view data,
-                                             int timeout_ms) const;
-
   enum class IoStatus { kOk, kWouldBlock, kError };
 
   /// One non-blocking send attempt (EINTR retried), for event-loop
@@ -66,10 +57,10 @@ class Socket {
   /// Toggles O_NONBLOCK on the fd.  Returns false when fcntl fails.
   bool set_nonblocking(bool on) const;
 
-  /// send_all_deadline without a stall bound.  Returns false on error.
-  bool send_all(std::string_view data) const {
-    return send_all_deadline(data, -1) == SendStatus::kOk;
-  }
+  /// Blocking client write: send_some until the whole buffer is out,
+  /// waiting for window space as long as it takes.  False once the peer
+  /// is gone (EPIPE/ECONNRESET) or on any other failure.
+  bool send_all(std::string_view data) const;
 
   /// Half-closes the write side so the peer sees EOF after the last
   /// response while we can still drain its final bytes.

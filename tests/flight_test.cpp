@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -223,16 +222,13 @@ TEST(StructuredLogTest, RequestIdsAreMonotonicAcrossThreads) {
 }
 
 TEST(MetricsFlusherTest, HookReceivesParseableSamplesWithDeltas) {
+  const std::string path = testing::TempDir() + "flushtest_deltas.jsonl";
+  std::remove(path.c_str());
   Counter& ticks = counter("flushtest.hook_ticks");
-  std::mutex mu;
-  std::vector<std::string> lines;
 
   MetricsFlusher::Options opts;
   opts.interval_s = 0.02;
-  opts.hook = [&](const std::string& line) {
-    std::scoped_lock lock(mu);
-    lines.push_back(line);
-  };
+  opts.path = path;
   MetricsFlusher flusher(opts);
   flusher.start();
   ticks.inc(5);
@@ -240,8 +236,13 @@ TEST(MetricsFlusherTest, HookReceivesParseableSamplesWithDeltas) {
   flusher.stop();  // emits the final sample
 
   ASSERT_GE(flusher.samples(), 1U);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::remove(path.c_str());
   std::uint64_t delta_sum = 0;
-  std::scoped_lock lock(mu);
   ASSERT_EQ(lines.size(), flusher.samples());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const lamps::net::JsonValue doc = lamps::net::JsonValue::parse(lines[i]);

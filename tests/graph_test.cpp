@@ -8,6 +8,7 @@
 #include "graph/io.hpp"
 #include "graph/task_graph.hpp"
 #include "graph/transform.hpp"
+#include "net/jsonv.hpp"
 
 namespace lamps::graph {
 namespace {
@@ -242,13 +243,21 @@ TEST(Io, JsonContainsTasksEdgesAndEscapes) {
   TaskGraphBuilder b("with \"quote\"");
   const TaskId a = b.add_task(1, "a\"b");
   const TaskId c = b.add_task(2);
+  const TaskId d = b.add_task(3, "tab\there\x01");
   b.add_edge(a, c);
+  b.add_edge(c, d);
   b.set_deadline(c, Seconds{0.5});
   const std::string json = to_json(b.build());
   EXPECT_NE(json.find("\"with \\\"quote\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"a\\\"b\""), std::string::npos);
   EXPECT_NE(json.find("[0, 1]"), std::string::npos);
   EXPECT_NE(json.find("\"deadline\": 0.5"), std::string::npos);
+  // Control bytes are escaped, so a strict parser reads the document back.
+  const net::JsonValue doc = net::JsonValue::parse(json);
+  EXPECT_EQ(doc.get_string("name", ""), "with \"quote\"");
+  const auto& tasks = doc.get("tasks")->items();
+  ASSERT_EQ(tasks.size(), 3U);
+  EXPECT_EQ(tasks[2].get_string("label", ""), "tab\there\x01");
 }
 
 }  // namespace

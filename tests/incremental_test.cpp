@@ -201,8 +201,7 @@ TEST(Incremental, StoreBackedCacheCountsLikeCold) {
   const auto keys = sched::make_priority_keys(g, {});
   const auto scheduler_runs = [] {
     const obs::Registry& reg = obs::Registry::global();
-    return reg.counter_value("scheduler.runs_full") + reg.counter_value("scheduler.runs_gaps") +
-           reg.counter_value("scheduler.runs_makespan");
+    return reg.counter_value("scheduler.runs_full") + reg.counter_value("scheduler.runs_gaps");
   };
 
   ProfileStore store;

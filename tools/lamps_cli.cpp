@@ -169,6 +169,18 @@ struct InstanceOptions {
     if (file.empty()) throw std::invalid_argument("--file is required");
     return graph::scale_weights_by_unit(stg::read_stg_file(file), unit, file);
   }
+
+  /// `factor` x the CPL at f_max, rejected under the serve protocol's rules
+  /// (E_CONFIG).  Subcommands call this before they print anything, so a
+  /// bad factor never leaves a header-only report on stdout.
+  [[nodiscard]] Seconds deadline(const graph::TaskGraph& g,
+                                 const power::PowerModel& model) const {
+    if (factor <= 0.0) throw InputError(ErrorCode::kConfig, "deadline-factor must be > 0");
+    const Seconds d{static_cast<double>(graph::critical_path_length(g)) /
+                    model.max_frequency().value() * factor};
+    (void)core::deadline_cycles(d, model.max_frequency());
+    return d;
+  }
 };
 
 int cmd_schedule(int argc, const char* const* argv) {
@@ -195,8 +207,7 @@ int cmd_schedule(int argc, const char* const* argv) {
     prob.graph = &g;
     prob.model = &model;
     prob.ladder = &ladder;
-    prob.deadline = Seconds{static_cast<double>(graph::critical_path_length(g)) /
-                            model.max_frequency().value() * inst.factor};
+    prob.deadline = inst.deadline(g, model);
 
     std::vector<obs::SearchTelemetry> records;
 
@@ -342,8 +353,7 @@ int cmd_simulate(int argc, const char* const* argv) {
     prob.graph = &g;
     prob.model = &model;
     prob.ladder = &ladder;
-    prob.deadline = Seconds{static_cast<double>(graph::critical_path_length(g)) /
-                            model.max_frequency().value() * inst.factor};
+    prob.deadline = inst.deadline(g, model);
     const core::StrategyResult plan = core::lamps_schedule_ps(prob);
     if (!plan.feasible || !plan.schedule.has_value()) {
       std::cerr << "instance infeasible before the deadline\n";
@@ -429,8 +439,7 @@ int cmd_robust(int argc, const char* const* argv) {
     prob.graph = &g;
     prob.model = &model;
     prob.ladder = &ladder;
-    prob.deadline = Seconds{static_cast<double>(graph::critical_path_length(g)) /
-                            model.max_frequency().value() * inst.factor};
+    prob.deadline = inst.deadline(g, model);
 
     const auto rows = robust::evaluate_robustness(prob, core::kAllStrategies, cfg);
     robust::print_robustness_report(std::cout, rows, cfg);
@@ -460,8 +469,7 @@ int cmd_sweep(int argc, const char* const* argv) {
     prob.graph = &g;
     prob.model = &model;
     prob.ladder = &ladder;
-    prob.deadline = Seconds{static_cast<double>(graph::critical_path_length(g)) /
-                            model.max_frequency().value() * inst.factor};
+    prob.deadline = inst.deadline(g, model);
 
     std::cout << "procs,makespan_cycles,feasible,energy_nops_j,energy_ps_j\n";
     const auto plain = core::processor_sweep(prob, max_procs, false);

@@ -1,12 +1,13 @@
-// lamps_loadgen — concurrent load generator and correctness checker for
-// `lamps serve` (docs/serving.md).
+// lamps_loadgen — concurrent load and chaos client for `lamps serve`
+// (docs/serving.md).
 //
-// Generates a corpus of random STG graphs, fires them as inline JSON-lines
-// requests over N parallel closed-loop connections, and measures the
-// end-to-end latency distribution and throughput.  With --check (default on) every response's "result" object
-// is compared byte-for-byte against a direct in-process
-// core::run_service_request call on the identical request — the serve
-// path's bit-exactness contract.
+// Generates a corpus of random STG graphs and fires them as inline
+// JSON-lines requests over N parallel closed-loop connections.  With
+// --check (default on) every response's "result" object is compared
+// byte-for-byte against a direct in-process core::run_service_request
+// call on the identical request — the serve path's bit-exactness
+// contract.  Latency and per-layer cost are servebench's job
+// (servebench/README.md); this client reports counts and throughput.
 //
 // The closed-loop client is a well-behaved retrying client: bounded
 // connect timeouts, reconnects on transport failures, and exponential
@@ -16,20 +17,16 @@
 // daemon under seeded fault injection must still answer ≥ 99 % of
 // requests byte-identically once clients retry.
 //
-// By default it self-hosts a net::Server on an ephemeral loopback port so
-// a single binary benchmarks the full TCP round trip; --port targets an
+// By default it self-hosts a net::Server on an ephemeral loopback port
+// (with --chaos-spec, under fault injection); --port targets an
 // already-running daemon instead (probed with bounded retries first — a
-// dead daemon is a clean E_IO exit, not a hang).  A JSON report
-// (--json-out, e.g. results/BENCH_serve.json) captures the run for CI
-// trending.
+// dead daemon is a clean E_IO exit, not a hang).  --json-out writes the
+// run's counts for CI checks.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -60,10 +57,6 @@ struct RequestSpec {
 };
 
 struct ConnStats {
-  std::vector<double> latencies_s;
-  /// Completion time of each response relative to the shared run start —
-  /// parallel to latencies_s; the per-second timeline buckets on this.
-  std::vector<double> completed_at_s;
   std::size_t ok{0};
   std::size_t first_try_ok{0};
   std::size_t retried_ok{0};
@@ -84,14 +77,6 @@ struct RetryOptions {
   int response_timeout_ms{30'000};
   std::uint64_t seed{1};       ///< jitter stream master seed
 };
-
-double quantile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(sorted.size()) - 1.0,
-                       std::ceil(q * static_cast<double>(sorted.size())) - 1.0));
-  return sorted[idx];
-}
 
 void backoff_sleep(Rng& rng, double base_ms, std::size_t attempt) {
   // Full jitter on top of the exponential term: retrying clients must not
@@ -144,12 +129,10 @@ bool is_retryable_error(const std::string& response) {
 }
 
 /// Closed-loop retrying client: one request in flight, transport failures
-/// reconnect, retryable typed errors back off and resend.  Latency is
-/// measured per successful attempt (service latency, not retry queueing).
+/// reconnect, retryable typed errors back off and resend.
 void run_connection_closed(std::uint16_t port, const std::vector<RequestSpec>& corpus,
                            std::size_t first, std::size_t count, bool check,
-                           const RetryOptions& opts, Clock::time_point run_t0,
-                           ConnStats& stats) {
+                           const RetryOptions& opts, ConnStats& stats) {
   Rng rng = child_rng(opts.seed, first + 1);
   std::optional<Socket> sock;
   std::optional<LineReader> reader;
@@ -188,7 +171,6 @@ void run_connection_closed(std::uint16_t port, const std::vector<RequestSpec>& c
         stats.gave_up += count - i;
         return;
       }
-      const auto sent_at = Clock::now();
       bool transport_ok = sock->send_all(spec.line);
       if (transport_ok) {
         transport_ok = recv_line(*reader, sock->fd(), opts.response_timeout_ms,
@@ -200,12 +182,7 @@ void run_connection_closed(std::uint16_t port, const std::vector<RequestSpec>& c
         if (retry_or_break()) continue;
         break;
       }
-      const auto now = Clock::now();
       if (response.find("\"ok\":true") != std::string::npos) {
-        stats.latencies_s.push_back(
-            std::chrono::duration<double>(now - sent_at).count());
-        stats.completed_at_s.push_back(
-            std::chrono::duration<double>(now - run_t0).count());
         ++stats.ok;
         if (attempt == 0)
           ++stats.first_try_ok;
@@ -240,7 +217,6 @@ int main(int argc, char** argv) {
   std::size_t server_threads = 0;
   double deadline_factor = 2.0;
   bool no_check = false;
-  bool serve_telemetry = false;
   std::string json_out;
   double connect_timeout_ms = 2000.0;
   std::size_t connect_retries = 5;
@@ -251,9 +227,9 @@ int main(int argc, char** argv) {
   std::size_t jitter_seed = 1;
   std::string chaos_spec;
   CliParser cli(
-      "Concurrent load generator for `lamps serve`: random-STG corpus, "
-      "latency histogram, throughput, a retrying closed-loop client, and a "
-      "bit-exactness check against direct in-process scheduling");
+      "Concurrent load and chaos client for `lamps serve`: random-STG corpus, "
+      "a retrying closed-loop client, throughput, and a bit-exactness check "
+      "against direct in-process scheduling");
   cli.add_option("port", "target daemon port; 0 self-hosts a server in-process", &port);
   cli.add_option("connections", "parallel client connections", &connections);
   cli.add_option("requests", "total requests across all connections", &requests);
@@ -264,12 +240,7 @@ int main(int argc, char** argv) {
                  "self-hosted server workers, 0 = hardware concurrency", &server_threads);
   cli.add_option("deadline-factor", "deadline as a multiple of the CPL", &deadline_factor);
   cli.add_flag("no-check", "skip the bit-exactness comparison", &no_check);
-  cli.add_flag("serve-telemetry",
-               "run the self-hosted server with the full telemetry plane on "
-               "(1 s metrics flusher embedded in --json-out as "
-               "metrics_timeline, flight recorder, slow-request promotion)",
-               &serve_telemetry);
-  cli.add_option("json-out", "write the benchmark report JSON here", &json_out);
+  cli.add_option("json-out", "write the run's counts as JSON here", &json_out);
   cli.add_option("connect-timeout-ms", "TCP connect handshake bound", &connect_timeout_ms);
   cli.add_option("connect-retries",
                  "connection attempts (startup probe and reconnects) before "
@@ -360,27 +331,16 @@ int main(int argc, char** argv) {
     }
 
     std::unique_ptr<net::Server> self_hosted;
-    std::vector<std::string> metric_samples;
-    std::mutex metric_samples_mutex;
     auto target_port = static_cast<std::uint16_t>(port);
     if (port == 0) {
       net::ServerConfig cfg;
       cfg.threads = server_threads;
-      if (serve_telemetry) {
-        cfg.metrics_interval_s = 1.0;
-        cfg.slow_request_s = 0.25;
-        cfg.metrics_hook = [&](const std::string& line) {
-          std::scoped_lock lock(metric_samples_mutex);
-          metric_samples.push_back(line);
-        };
-      }
       if (!chaos_spec.empty())
         cfg.chaos = std::make_shared<FaultInjector>(parse_fault_spec(chaos_spec));
       self_hosted = std::make_unique<net::Server>(cfg);
       self_hosted->start();
       target_port = self_hosted->port();
       std::cerr << "self-hosted lamps serve on 127.0.0.1:" << target_port
-                << (serve_telemetry ? " (telemetry on)" : "")
                 << (cfg.chaos ? " (chaos on)" : "") << '\n';
     } else if (!chaos_spec.empty()) {
       std::cerr << "--chaos-spec only applies to the self-hosted server "
@@ -407,8 +367,7 @@ int main(int argc, char** argv) {
       const std::size_t count = std::min(per_conn, requests - std::min(requests, begin));
       if (count == 0) break;
       clients.emplace_back([&, c, begin, count] {
-        run_connection_closed(target_port, corpus, begin, count, !no_check, ropts, t0,
-                              stats[c]);
+        run_connection_closed(target_port, corpus, begin, count, !no_check, ropts, stats[c]);
       });
     }
     for (auto& t : clients) t.join();
@@ -438,25 +397,7 @@ int main(int argc, char** argv) {
       total.retries_total += s.retries_total;
       total.reconnects += s.reconnects;
       total.mismatches += s.mismatches;
-      total.latencies_s.insert(total.latencies_s.end(), s.latencies_s.begin(),
-                               s.latencies_s.end());
     }
-    // Per-second timeline: responses bucketed by the wall-clock second of
-    // the run they completed in — correlates with the server-side
-    // metrics_timeline samples when --serve-telemetry is on.
-    std::map<std::size_t, std::vector<double>> timeline;
-    for (const auto& s : stats)
-      for (std::size_t i = 0; i < s.completed_at_s.size(); ++i)
-        timeline[static_cast<std::size_t>(std::max(0.0, s.completed_at_s[i]))]
-            .push_back(s.latencies_s[i]);
-
-    std::sort(total.latencies_s.begin(), total.latencies_s.end());
-    double sum = 0.0;
-    for (const double v : total.latencies_s) sum += v;
-    const double mean_s =
-        total.latencies_s.empty()
-            ? 0.0
-            : sum / static_cast<double>(total.latencies_s.size());
     const double throughput =
         elapsed_s > 0.0 ? static_cast<double>(total.ok) / elapsed_s : 0.0;
     const double denom = requests > 0 ? static_cast<double>(requests) : 1.0;
@@ -472,14 +413,8 @@ int main(int argc, char** argv) {
               << "%  retries: " << total.retries_total
               << "  reconnects: " << total.reconnects << '\n'
               << "throughput: " << throughput << " req/s  elapsed: " << elapsed_s
-              << " s\n"
-              << "latency ms  mean " << mean_s * 1e3 << "  p50 "
-              << quantile(total.latencies_s, 0.5) * 1e3 << "  p90 "
-              << quantile(total.latencies_s, 0.9) * 1e3 << "  p99 "
-              << quantile(total.latencies_s, 0.99) * 1e3 << "  max "
-              << (total.latencies_s.empty() ? 0.0 : total.latencies_s.back()) * 1e3
-              << '\n';
-    if (self_hosted != nullptr || port == 0) {
+              << " s\n";
+    if (port == 0) {
       std::cout << "server: cache_hits " << cache_hits << "  singleflight_hits "
                 << singleflight;
       if (!chaos_spec.empty())
@@ -494,7 +429,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       os << "{\n"
-         << "  \"bench\": \"serve\",\n"
          << "  \"requests\": " << requests << ",\n"
          << "  \"connections\": " << clients.size() << ",\n"
          << "  \"corpus\": " << corpus_size << ",\n"
@@ -515,41 +449,7 @@ int main(int argc, char** argv) {
       os << ",\n"
          << "  \"chaos_injected\": " << chaos_injected << ",\n"
          << "  \"elapsed_s\": " << json_double(elapsed_s) << ",\n"
-         << "  \"throughput_rps\": " << json_double(throughput) << ",\n"
-         << "  \"latency_ms\": {\n"
-         << "    \"mean\": " << json_double(mean_s * 1e3) << ",\n"
-         << "    \"p50\": " << json_double(quantile(total.latencies_s, 0.5) * 1e3)
-         << ",\n"
-         << "    \"p90\": " << json_double(quantile(total.latencies_s, 0.9) * 1e3)
-         << ",\n"
-         << "    \"p99\": " << json_double(quantile(total.latencies_s, 0.99) * 1e3)
-         << ",\n"
-         << "    \"max\": "
-         << json_double(
-                (total.latencies_s.empty() ? 0.0 : total.latencies_s.back()) * 1e3)
-         << "\n  },\n"
-         << "  \"telemetry\": " << (serve_telemetry ? "true" : "false") << ",\n"
-         << "  \"timeline\": [";
-      {
-        const char* sep = "\n";
-        for (auto& [sec, lats] : timeline) {
-          std::sort(lats.begin(), lats.end());
-          os << sep << "    {\"t_s\": " << sec << ", \"requests\": " << lats.size()
-             << ", \"p50_ms\": " << json_double(quantile(lats, 0.5) * 1e3)
-             << ", \"p99_ms\": " << json_double(quantile(lats, 0.99) * 1e3) << "}";
-          sep = ",\n";
-        }
-      }
-      os << "\n  ],\n"
-         << "  \"metrics_timeline\": [";
-      {
-        const char* sep = "\n";
-        for (const std::string& sample : metric_samples) {
-          os << sep << "    " << sample;
-          sep = ",\n";
-        }
-      }
-      os << "\n  ]\n}\n";
+         << "  \"throughput_rps\": " << json_double(throughput) << "\n}\n";
       std::cerr << "wrote " << json_out << '\n';
     }
 
