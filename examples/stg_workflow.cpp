@@ -6,14 +6,15 @@
 //
 // Usage: ./stg_workflow --file data/pipeline.stg [--unit 3100000]
 //        [--deadline-factor 2] [--dot out.dot] [--trace trace.csv]
+// A unit or deadline core::make_service_request rejects exits 2 before output.
 #include <fstream>
 #include <iostream>
 
 #include "core/multifreq.hpp"
+#include "core/request.hpp"
 #include "core/strategy.hpp"
 #include "graph/analysis.hpp"
 #include "graph/io.hpp"
-#include "graph/transform.hpp"
 #include "sched/gantt.hpp"
 #include "sched/stats.hpp"
 #include "sim/power_trace.hpp"
@@ -28,23 +29,23 @@ int run(int argc, char** argv) {
   using namespace lamps;
 
   std::string file = "data/pipeline.stg";
-  double unit = 3'100'000.0;  // coarse grain: 1 unit = 1 ms at f_max
-  double factor = 2.0;
+  core::RequestSpec spec;  // coarse grain: 1 unit = 1 ms at f_max
   std::string dot_path;
   std::string trace_path;
   CliParser cli("Schedule a .stg task-graph file for minimum energy");
   cli.add_option("file", "input .stg file", &file);
-  cli.add_option("unit", "cycles per STG weight unit", &unit);
-  cli.add_option("deadline-factor", "deadline as a multiple of the CPL", &factor);
+  cli.add_option("unit", "cycles per STG weight unit", &spec.unit);
+  cli.add_option("deadline-factor", "deadline as a multiple of the CPL", &spec.deadline_factor);
   cli.add_option("dot", "write the task graph as Graphviz DOT to this path", &dot_path);
   cli.add_option("trace", "write the LAMPS+PS power trace as CSV to this path",
                  &trace_path);
   if (!cli.parse(argc, argv, std::cerr)) return 1;
 
-  graph::TaskGraph g = graph::scale_weights_by_unit(stg::read_stg_file(file), unit, file);
-
   const power::PowerModel model;
   const power::DvsLadder ladder(model);
+  const core::ServiceRequest req =
+      core::make_service_request(stg::read_stg_file(file), spec, model);
+  const graph::TaskGraph& g = req.graph;
   const Cycles cpl = graph::critical_path_length(g);
 
   std::cout << "Loaded " << file << ": " << g.num_tasks() << " tasks, " << g.num_edges()
@@ -62,14 +63,9 @@ int run(int argc, char** argv) {
     std::cout << "DOT written to " << dot_path << "\n\n";
   }
 
-  core::Problem prob;
-  prob.graph = &g;
-  prob.model = &model;
-  prob.ladder = &ladder;
-  prob.deadline =
-      Seconds{static_cast<double>(cpl) / model.max_frequency().value() * factor};
+  const core::Problem prob = core::make_problem(req, model, ladder);
   std::cout << "Deadline: " << fmt_fixed(prob.deadline.value() * 1e3, 3) << " ms ("
-            << factor << " x CPL at f_max)\n\n";
+            << spec.deadline_factor << " x CPL at f_max)\n\n";
 
   TextTable table({"approach", "energy [mJ]", "procs", "f/f_max", "shutdowns"});
   for (const core::StrategyKind k : core::kAllStrategies) {

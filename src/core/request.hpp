@@ -1,5 +1,6 @@
-// Request -> Problem adapter for the serving path (net/server) plus the
-// cross-request cache key.
+// The one request path of `lamps serve`, the `lamps` CLI and stg_workflow:
+// the builder that owns the unit and deadline rules, the Problem adapter
+// and the cross-request cache key.
 //
 // A ServiceRequest is everything a remote caller may vary: the task
 // graph (already scaled to cycles), the absolute deadline, the strategy
@@ -12,21 +13,46 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "core/problem.hpp"
 #include "core/strategy.hpp"
 
 namespace lamps::core {
 
-/// One remote scheduling request, normalized: the deadline is absolute
-/// seconds (the protocol's deadline-factor form is resolved against the
-/// graph's critical path before this struct is built).
+/// What a caller states beside the graph; wire fields and CLI flags bind to it.
+struct RequestSpec {
+  double unit{3'100'000.0};          ///< cycles per STG weight unit
+  std::optional<double> deadline_s;  ///< absolute seconds; wins over the factor
+  double deadline_factor{2.0};       ///< x the critical path at f_max
+  StrategyKind strategy{StrategyKind::kLampsPs};
+};
+
+/// One scheduling request, normalized: the graph is scaled to cycles and
+/// the deadline is absolute seconds.
 struct ServiceRequest {
   graph::TaskGraph graph;
   Seconds deadline{0.0};
   StrategyKind strategy{StrategyKind::kLampsPs};
   sched::PriorityPolicy policy{sched::PriorityPolicy::kEdf};
 };
+
+/// Scales `as_read` by `spec.unit` (whole cycles in [1, 2^64), no weight nor
+/// the total work past 64 bits).  A present `deadline_s` (> 0) wins over
+/// factor_deadline(); either way the deadline lies below 2^63 cycles at
+/// f_max.  Anything else throws InputError(kConfig).
+[[nodiscard]] ServiceRequest make_service_request(const graph::TaskGraph& as_read,
+                                                  const RequestSpec& spec,
+                                                  const power::PowerModel& model);
+
+/// `factor` (> 0) x the critical path of `scaled` at f_max, checked like
+/// make_service_request's, so a sweep can check every point up front.
+[[nodiscard]] Seconds factor_deadline(const graph::TaskGraph& scaled, double factor,
+                                      const power::PowerModel& model);
+
+/// The Problem over `req`; `req`, `model` and `ladder` must outlive it.
+[[nodiscard]] Problem make_problem(const ServiceRequest& req, const power::PowerModel& model,
+                                   const power::DvsLadder& ladder);
 
 /// FNV-1a digest over the request's semantic content: task weights,
 /// explicit deadlines, edge set, global deadline, strategy and policy.
@@ -45,8 +71,8 @@ struct ServiceRequest {
 
 class ScheduleBank;
 
-/// Builds the Problem over `req` (the model/ladder pair must outlive the
-/// call) and runs the strategy.  Single-threaded search on purpose: the
+/// Runs the strategy on make_problem(req, ...) (the model/ladder pair must
+/// outlive the call).  Single-threaded search on purpose: the
 /// serving layer parallelizes across requests, not within one.
 [[nodiscard]] StrategyResult run_service_request(const ServiceRequest& req,
                                                  const power::PowerModel& model,

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "graph/analysis.hpp"
-#include "graph/transform.hpp"
 #include "net/jsonv.hpp"
 #include "stg/format.hpp"
 #include "util/errors.hpp"
@@ -114,49 +112,28 @@ ParsedRequest parse_schedule_request(const std::string& line,
     }
   }
 
+  // Inline only: the daemon never opens a path a client names.
   const JsonValue* stg_text = doc.get("stg");
-  const JsonValue* stg_file = doc.get("file");
-  if ((stg_text != nullptr) == (stg_file != nullptr))
+  if (stg_text == nullptr || doc.get("file") != nullptr)
     throw InputError(ErrorCode::kConfig,
-                     "request needs exactly one of \"stg\" (inline) or \"file\" (path)");
+                     "request needs an inline \"stg\" graph and no \"file\"");
 
-  stg::ParseOptions popts;
-  popts.name = stg_text != nullptr ? "inline" : stg_file->as_string();
-  graph::TaskGraph raw = [&] {
-    if (stg_text != nullptr) {
-      std::istringstream is(stg_text->as_string());
-      return stg::read_stg(is, popts);
-    }
-    return stg::read_stg_file(stg_file->as_string(), popts);
-  }();
-
-  graph::TaskGraph scaled =
-      graph::scale_weights_by_unit(raw, doc.get_number("unit", 3'100'000.0), popts.name);
-
-  const double deadline_s = doc.get_number("deadline_s", 0.0);
-  const double factor = doc.get_number("deadline_factor", 2.0);
-  Seconds deadline{0.0};
-  if (deadline_s > 0.0) {
-    deadline = Seconds{deadline_s};
-  } else {
-    if (factor <= 0.0)
-      throw InputError(ErrorCode::kConfig, "deadline_factor must be > 0");
-    deadline = Seconds{static_cast<double>(graph::critical_path_length(scaled)) /
-                       model.max_frequency().value() * factor};
-  }
-  // The searches' own conversion, run here so the request is rejected as
-  // bad input before it reaches a cache or the pool.
-  (void)core::deadline_cycles(deadline, model.max_frequency());
+  core::RequestSpec spec;
+  spec.unit = doc.get_number("unit", spec.unit);
+  if (const auto* d = doc.get("deadline_s"); d != nullptr) spec.deadline_s = d->as_number();
+  spec.deadline_factor = doc.get_number("deadline_factor", spec.deadline_factor);
+  if (const JsonValue* name = doc.get("strategy"); name != nullptr)
+    spec.strategy = strategy_from_wire(name->as_string());
 
   const double deadline_ms = doc.get_number("deadline_ms", 0.0);
   if (doc.get("deadline_ms") != nullptr && deadline_ms <= 0.0)
     throw InputError(ErrorCode::kConfig, "deadline_ms must be > 0 when present");
 
-  const core::StrategyKind strategy =
-      strategy_from_wire(doc.get_string("strategy", "LAMPS+PS"));
+  stg::ParseOptions popts;
+  popts.name = "inline";
+  std::istringstream is(stg_text->as_string());
   return ParsedRequest{std::move(id_json),
-                       core::ServiceRequest{std::move(scaled), deadline, strategy,
-                                            sched::PriorityPolicy::kEdf},
+                       core::make_service_request(stg::read_stg(is, popts), spec, model),
                        deadline_ms};
 }
 

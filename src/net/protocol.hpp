@@ -2,11 +2,11 @@
 //
 // Request (client -> server):
 //   {"id": <string|number>,            optional; echoed back verbatim
-//    "stg": "<inline STG text>" |      exactly one graph source
-//    "file": "<server-side .stg path>",
+//    "stg": "<inline STG text>",       required; the only graph source (a
+//                                      "file" key is rejected unread)
 //    "unit": 3100000,                  cycles per STG weight unit
 //    "deadline_factor": 2.0,           x critical path length at f_max
-//    "deadline_s": 0.0,                absolute seconds; overrides factor when > 0
+//    "deadline_s": 0.5,                absolute seconds, > 0; overrides the factor
 //    "deadline_ms": 250,               optional wall-clock budget for THIS
 //                                      request (transport-level; not part of
 //                                      the cache digest)
@@ -70,9 +70,9 @@ struct ParsedRequest {
   double deadline_budget_ms{0.0};
 };
 
-/// Parses and validates one request line, resolving deadline_factor
-/// against the graph's critical path at f_max.  Throws InputError
-/// (kJsonParse / kStgParse / kConfig) on malformed input.
+/// Parses one request line and builds its request with
+/// core::make_service_request, which owns the unit and deadline rules.
+/// Throws InputError (kJsonParse / kStgParse / kConfig) on malformed input.
 [[nodiscard]] ParsedRequest parse_schedule_request(const std::string& line,
                                                    const power::PowerModel& model);
 

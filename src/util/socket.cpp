@@ -142,7 +142,7 @@ ListenSocket::ListenSocket(std::uint16_t port, int backlog) {
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
     throw InternalError(ErrorCode::kIo,

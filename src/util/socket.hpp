@@ -78,8 +78,8 @@ class Socket {
   FaultInjector* fault_{nullptr};
 };
 
-/// Listening IPv4 TCP socket.  `port == 0` binds an ephemeral port;
-/// `port()` reports the actual one.  Throws InternalError(kIo) when the
+/// Listening IPv4 TCP socket on 127.0.0.1 only.  `port == 0` binds an
+/// ephemeral port; `port()` reports the actual one.  Throws InternalError(kIo) when the
 /// socket cannot be bound.
 class ListenSocket {
  public:

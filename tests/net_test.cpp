@@ -2,7 +2,10 @@
 // supporting util/socket, util/signal and core/request pieces):
 //
 //  - wire protocol parsing and error taxonomy
-//  - request digest stability (the single-flight / LRU cache key)
+//  - request digest stability (the single-flight / LRU cache key), and
+//    agreement between the wire's request and the one the CLI builds
+//  - the network contract: a loopback-only listener, and no file-system
+//    access on a client's behalf
 //  - ResultCache semantics: LRU hits, admission-time single-flight joins,
 //    leader failure fan-out
 //  - the full TCP daemon: concurrent clients receiving responses
@@ -12,13 +15,17 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -100,10 +107,12 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(
       (void)parse_schedule_request(request_line(stg_text, "BOGUS", "1"), model),
       InputError);
-  // invalid deadlines: a non-positive factor, and deadlines past 2^63 - 1
-  // cycles at f_max, where the EDF keys (signed 64-bit) would wrap
+  // invalid deadlines: a non-positive factor or absolute deadline, and
+  // deadlines past 2^63 - 1 cycles at f_max, where the EDF keys (signed
+  // 64-bit) would wrap
   for (const char* field :
-       {"\"deadline_factor\":-1", "\"deadline_factor\":1e11", "\"deadline_s\":1e11"}) {
+       {"\"deadline_factor\":-1", "\"deadline_factor\":1e11", "\"deadline_s\":1e11",
+        "\"deadline_s\":0", "\"deadline_s\":-1"}) {
     std::ostringstream os;
     os << "{\"stg\":";
     write_json_string(os, stg_text);
@@ -175,6 +184,57 @@ TEST(RequestDigest, IdenticalRequestsCollideDifferentOnesDoNot) {
   tighter.deadline = Seconds{a.request.deadline.value() * 0.5};
   EXPECT_NE(core::service_request_digest(a.request),
             core::service_request_digest(tighter));
+}
+
+// data/pipeline.stg and data/fork_join.stg, embedded so the test does not
+// depend on the working directory.
+constexpr const char* kPipelineStg =
+    "8\n0 0 0\n1 12 1 0\n2 30 1 1\n3 18 1 1\n4 26 1 2\n5 22 2 2 3\n6 14 1 3\n"
+    "7 20 3 4 5 6\n8 10 1 7\n9 0 1 8\n";
+constexpr const char* kForkJoinStg =
+    "8\n0 0 0\n1 5 1 0\n2 40 1 1\n3 35 1 1\n4 30 1 1\n5 25 1 1\n6 20 1 1\n"
+    "7 15 1 1\n8 5 6 2 3 4 5 6 7\n9 0 1 8\n";
+
+// The CLI builds its request from the graph it read and its flags; the
+// daemon from the same text sent inline.  Both doors must yield the same
+// cache key and the same result bytes.
+TEST(RequestDigest, CliAndWireBuildTheSameRequest) {
+  const power::PowerModel model;
+  const power::DvsLadder ladder(model);
+  const std::string texts[] = {kPipelineStg, kForkJoinStg, small_stg(80, 40),
+                               small_stg(81, 60)};
+  for (const std::string& text : texts) {
+    for (const double unit : {3.1e4, 3.1e6}) {
+      for (const double factor : {1.2, 2.0, 8.0}) {
+        for (const core::StrategyKind k : core::kAllStrategies) {
+          SCOPED_TRACE(text.substr(0, 24) + " unit " + json_double(unit) + " factor " +
+                       json_double(factor) + " " + std::string(core::to_string(k)));
+          core::RequestSpec spec;
+          spec.unit = unit;
+          spec.deadline_factor = factor;
+          spec.strategy = k;
+          std::istringstream is(text);
+          const core::ServiceRequest cli =
+              core::make_service_request(stg::read_stg(is), spec, model);
+
+          std::ostringstream line;
+          line << "{\"stg\":";
+          write_json_string(line, text);
+          line << ",\"unit\":" << json_double(unit)
+               << ",\"deadline_factor\":" << json_double(factor) << ",\"strategy\":";
+          write_json_string(line, core::to_string(k));
+          line << '}';
+          const ParsedRequest wire = parse_schedule_request(line.str(), model);
+
+          EXPECT_EQ(core::service_request_digest(cli),
+                    core::service_request_digest(wire.request));
+          EXPECT_EQ(result_json(core::run_service_request(cli, model, ladder), ladder),
+                    result_json(core::run_service_request(wire.request, model, ladder),
+                                ladder));
+        }
+      }
+    }
+  }
 }
 
 struct Delivery {
@@ -410,6 +470,60 @@ TEST(ServeIntegration, HostileRequestLinesGetBadRequestAndServingContinues) {
 
   server.request_drain();
   server.wait();
+}
+
+TEST(ListenSocketTest, BindsLoopbackOnly) {
+  const ListenSocket listener(0);
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(listener.fd(), reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  char text[INET_ADDRSTRLEN] = {};
+  ASSERT_NE(::inet_ntop(AF_INET, &addr.sin_addr, text, sizeof text), nullptr);
+  EXPECT_STREQ(text, "127.0.0.1");
+}
+
+// A "file" key is refused unread.  Opening a FIFO for reading blocks until
+// a writer comes, so a daemon that opened the path would stall the one
+// loop thread every connection shares.
+TEST(ServeIntegration, FileFieldIsRefusedWithoutOpeningThePath) {
+  const std::filesystem::path fifo =
+      std::filesystem::temp_directory_path() /
+      ("lamps-net-test-" + std::to_string(::getpid()) + ".fifo");
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  ServerConfig cfg;
+  cfg.threads = 1;
+  Server server(cfg);
+  server.start();
+  std::ostringstream request;
+  request << "{\"id\":1,\"file\":";
+  write_json_string(request, fifo.string());
+  request << "}\n";
+  const Socket sock = connect_tcp(server.port());
+  EXPECT_TRUE(sock.send_all(request.str()));
+  const bool answered = poll_readable(sock.fd(), 2000);
+  const Socket admin = connect_tcp(server.port());
+  EXPECT_TRUE(admin.send_all("healthz\n"));
+  const bool admin_answered = poll_readable(admin.fd(), 1000);
+  // A loop thread blocked in open(2) on the FIFO finishes once a writer
+  // comes and goes, so a daemon that reads the path fails this test
+  // instead of hanging it.
+  if (const int writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK); writer >= 0)
+    ::close(writer);
+
+  EXPECT_TRUE(answered) << "no answer within 2 s";
+  EXPECT_TRUE(admin_answered) << "healthz got no answer within 1 s";
+  LineReader reader(sock.fd());
+  std::string response;
+  EXPECT_EQ(reader.read_line(response), LineReader::Status::kLine);
+  const JsonValue doc = JsonValue::parse(response);
+  EXPECT_EQ(doc.get_string("error", ""), "bad_request") << response;
+  EXPECT_EQ(doc.get_string("message", "").rfind("E_CONFIG", 0), 0U) << response;
+
+  server.request_drain();
+  server.wait();
+  std::filesystem::remove(fifo);
 }
 
 TEST(ServeIntegration, OverloadShedsWithExplicitBackpressureResponse) {

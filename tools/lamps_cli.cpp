@@ -24,6 +24,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -31,9 +32,9 @@
 
 #include "core/lamps.hpp"
 #include "core/multifreq.hpp"
+#include "core/request.hpp"
 #include "core/strategy.hpp"
 #include "graph/analysis.hpp"
-#include "graph/transform.hpp"
 #include "net/jsonv.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
@@ -154,37 +155,34 @@ int cmd_gen(int argc, const char* const* argv) {
   return 0;
 }
 
-struct InstanceOptions {
+/// The instance subcommands' flags, bound straight to core::RequestSpec
+/// (whose builder owns the unit and deadline rules), and what they load.
+struct Instance {
   std::string file;
-  double unit = 3'100'000.0;
-  double factor = 2.0;
+  core::RequestSpec spec;
+  const power::PowerModel model;
+  const power::DvsLadder ladder{model};
+  std::optional<core::ServiceRequest> request;  ///< set by load()
 
-  void register_flags(CliParser& cli) {
+  void register_flags(CliParser& cli, bool deadline_factor = true) {
     cli.add_option("file", "input .stg file", &file);
-    cli.add_option("unit", "cycles per STG weight unit", &unit);
-    cli.add_option("deadline-factor", "deadline as a multiple of the CPL", &factor);
+    cli.add_option("unit", "cycles per STG weight unit", &spec.unit);
+    if (deadline_factor)
+      cli.add_option("deadline-factor", "deadline as a multiple of the CPL",
+                     &spec.deadline_factor);
   }
 
-  [[nodiscard]] graph::TaskGraph load() const {
+  /// Builds the checked request and the Problem over it, before the caller
+  /// prints anything: rejected input (E_CONFIG) leaves no partial report.
+  [[nodiscard]] core::Problem load() {
     if (file.empty()) throw std::invalid_argument("--file is required");
-    return graph::scale_weights_by_unit(stg::read_stg_file(file), unit, file);
-  }
-
-  /// `factor` x the CPL at f_max, rejected under the serve protocol's rules
-  /// (E_CONFIG).  Subcommands call this before they print anything, so a
-  /// bad factor never leaves a header-only report on stdout.
-  [[nodiscard]] Seconds deadline(const graph::TaskGraph& g,
-                                 const power::PowerModel& model) const {
-    if (factor <= 0.0) throw InputError(ErrorCode::kConfig, "deadline-factor must be > 0");
-    const Seconds d{static_cast<double>(graph::critical_path_length(g)) /
-                    model.max_frequency().value() * factor};
-    (void)core::deadline_cycles(d, model.max_frequency());
-    return d;
+    request = core::make_service_request(stg::read_stg_file(file), spec, model);
+    return core::make_problem(*request, model, ladder);
   }
 };
 
 int cmd_schedule(int argc, const char* const* argv) {
-  InstanceOptions inst;
+  Instance inst;
   ObsOptions oo;
   bool gantt = false;
   bool csv = false;
@@ -200,14 +198,8 @@ int cmd_schedule(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv, std::cerr)) return 1;
 
   return run_observed(oo, "cli/schedule", [&]() -> int {
-    const graph::TaskGraph g = inst.load();
-    const power::PowerModel model;
-    const power::DvsLadder ladder(model);
-    core::Problem prob;
-    prob.graph = &g;
-    prob.model = &model;
-    prob.ladder = &ladder;
-    prob.deadline = inst.deadline(g, model);
+    core::Problem prob = inst.load();
+    const power::DvsLadder& ladder = inst.ladder;
 
     std::vector<obs::SearchTelemetry> records;
 
@@ -257,8 +249,8 @@ int cmd_schedule(int argc, const char* const* argv) {
         sched::GanttOptions gopts;
         gopts.horizon = static_cast<Cycles>(prob.deadline.value() *
                                             ladder.level(best.level_index).f.value());
-        sched::write_ascii_gantt(*best.schedule, g, std::cout, gopts);
-        sched::print_stats(sched::compute_stats(*best.schedule, g), std::cout);
+        sched::write_ascii_gantt(*best.schedule, *prob.graph, std::cout, gopts);
+        sched::print_stats(sched::compute_stats(*best.schedule, *prob.graph), std::cout);
       }
     }
 
@@ -275,14 +267,14 @@ int cmd_schedule(int argc, const char* const* argv) {
 }
 
 int cmd_pareto(int argc, const char* const* argv) {
-  InstanceOptions inst;
+  Instance inst;
   double min_factor = 1.05;
   double max_factor = 8.0;
   std::size_t steps = 12;
   CliParser cli(
       "Energy/deadline Pareto curve: sweep the deadline and report each "
       "approach's energy (CSV)");
-  inst.register_flags(cli);
+  inst.register_flags(cli, /*deadline_factor=*/false);
   cli.add_option("min-factor", "smallest deadline factor (x CPL)", &min_factor);
   cli.add_option("max-factor", "largest deadline factor (x CPL)", &max_factor);
   cli.add_option("steps", "number of sweep points (log-spaced)", &steps);
@@ -295,26 +287,24 @@ int cmd_pareto(int argc, const char* const* argv) {
   }
 
   return run_observed(oo, "cli/pareto", [&]() -> int {
-    const graph::TaskGraph g = inst.load();
-    const power::PowerModel model;
-    const power::DvsLadder ladder(model);
-    const Cycles cpl = graph::critical_path_length(g);
-
-    std::cout << "deadline_factor,deadline_ms";
-    for (const core::StrategyKind k : core::kAllStrategies)
-      std::cout << ',' << core::to_string(k) << "_mj";
-    std::cout << '\n';
+    inst.spec.deadline_factor = min_factor;
+    core::Problem prob = inst.load();
+    // Every point of the sweep is checked before the first row is printed.
+    std::vector<std::pair<double, Seconds>> points;
     const double ratio = max_factor / min_factor;
     for (std::size_t i = 0; i < steps; ++i) {
       const double factor =
           min_factor * std::pow(ratio, static_cast<double>(i) /
                                            static_cast<double>(steps - 1));
-      core::Problem prob;
-      prob.graph = &g;
-      prob.model = &model;
-      prob.ladder = &ladder;
-      prob.deadline =
-          Seconds{static_cast<double>(cpl) / model.max_frequency().value() * factor};
+      points.emplace_back(factor, core::factor_deadline(*prob.graph, factor, inst.model));
+    }
+
+    std::cout << "deadline_factor,deadline_ms";
+    for (const core::StrategyKind k : core::kAllStrategies)
+      std::cout << ',' << core::to_string(k) << "_mj";
+    std::cout << '\n';
+    for (const auto& [factor, deadline] : points) {
+      prob.deadline = deadline;
       std::cout << fmt_fixed(factor, 3) << ','
                 << fmt_fixed(prob.deadline.value() * 1e3, 3);
       for (const core::StrategyKind k : core::kAllStrategies) {
@@ -329,7 +319,7 @@ int cmd_pareto(int argc, const char* const* argv) {
 }
 
 int cmd_simulate(int argc, const char* const* argv) {
-  InstanceOptions inst;
+  Instance inst;
   double bcet = 0.7;
   std::size_t runs = 5;
   std::size_t seed = 1;
@@ -345,21 +335,14 @@ int cmd_simulate(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv, std::cerr)) return 1;
 
   return run_observed(oo, "cli/simulate", [&]() -> int {
-    const graph::TaskGraph g = inst.load();
-    const power::PowerModel model;
-    const power::DvsLadder ladder(model);
-    const power::SleepModel sleep(model);
-    core::Problem prob;
-    prob.graph = &g;
-    prob.model = &model;
-    prob.ladder = &ladder;
-    prob.deadline = inst.deadline(g, model);
+    const core::Problem prob = inst.load();
+    const power::SleepModel sleep(inst.model);
     const core::StrategyResult plan = core::lamps_schedule_ps(prob);
     if (!plan.feasible || !plan.schedule.has_value()) {
       std::cerr << "instance infeasible before the deadline\n";
       return 1;
     }
-    const auto& lvl = ladder.level(plan.level_index);
+    const auto& lvl = inst.ladder.level(plan.level_index);
     std::cout << "plan: " << plan.num_procs << " procs at " << fmt_fixed(lvl.f_norm, 3)
               << " x f_max, predicted " << fmt_fixed(plan.energy().value() * 1e3, 3)
               << " mJ\n";
@@ -369,11 +352,11 @@ int cmd_simulate(int argc, const char* const* argv) {
       opts.bcet_ratio = bcet;
       opts.seed = child_seed(seed, r);
       opts.reclaim = false;
-      const auto st = sim::simulate_online(*plan.schedule, g, ladder, lvl, prob.deadline,
-                                           sleep, opts);
+      const auto st = sim::simulate_online(*plan.schedule, *prob.graph, inst.ladder, lvl,
+                                           prob.deadline, sleep, opts);
       opts.reclaim = true;
-      const auto rc = sim::simulate_online(*plan.schedule, g, ladder, lvl, prob.deadline,
-                                           sleep, opts);
+      const auto rc = sim::simulate_online(*plan.schedule, *prob.graph, inst.ladder, lvl,
+                                           prob.deadline, sleep, opts);
       std::cout << r << ',' << opts.seed << ','
                 << fmt_fixed(st.breakdown.total().value() * 1e3, 3) << ','
                 << fmt_fixed(rc.breakdown.total().value() * 1e3, 3) << ','
@@ -386,7 +369,7 @@ int cmd_simulate(int argc, const char* const* argv) {
 }
 
 int cmd_robust(int argc, const char* const* argv) {
-  InstanceOptions inst;
+  Instance inst;
   robust::McConfig cfg;
   std::size_t trials = 1000;
   std::size_t seed = 1;
@@ -432,14 +415,7 @@ int cmd_robust(int argc, const char* const* argv) {
   cfg.perturb.validate();
 
   return run_observed(oo, "cli/robust", [&]() -> int {
-    const graph::TaskGraph g = inst.load();
-    const power::PowerModel model;
-    const power::DvsLadder ladder(model);
-    core::Problem prob;
-    prob.graph = &g;
-    prob.model = &model;
-    prob.ladder = &ladder;
-    prob.deadline = inst.deadline(g, model);
+    const core::Problem prob = inst.load();
 
     const auto rows = robust::evaluate_robustness(prob, core::kAllStrategies, cfg);
     robust::print_robustness_report(std::cout, rows, cfg);
@@ -452,7 +428,7 @@ int cmd_robust(int argc, const char* const* argv) {
 }
 
 int cmd_sweep(int argc, const char* const* argv) {
-  InstanceOptions inst;
+  Instance inst;
   ObsOptions oo;
   std::size_t max_procs = 16;
   CliParser cli("Energy vs processor count (Fig 6 style) for an .stg file");
@@ -462,14 +438,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv, std::cerr)) return 1;
 
   return run_observed(oo, "cli/sweep", [&]() -> int {
-    const graph::TaskGraph g = inst.load();
-    const power::PowerModel model;
-    const power::DvsLadder ladder(model);
-    core::Problem prob;
-    prob.graph = &g;
-    prob.model = &model;
-    prob.ladder = &ladder;
-    prob.deadline = inst.deadline(g, model);
+    const core::Problem prob = inst.load();
 
     std::cout << "procs,makespan_cycles,feasible,energy_nops_j,energy_ps_j\n";
     const auto plain = core::processor_sweep(prob, max_procs, false);
