@@ -5,18 +5,23 @@
 //
 // Usage: ./tradeoff_explorer [--tasks 300] [--seed 4] [--deadline-factor 2]
 //                            [--fine] [--max-procs 24]
+// A deadline core::factor_deadline rejects exits 2 before output.
 #include <iostream>
 
 #include "core/lamps.hpp"
+#include "core/request.hpp"
 #include "core/strategy.hpp"
 #include "graph/analysis.hpp"
 #include "graph/transform.hpp"
 #include "power/sleep_model.hpp"
 #include "stg/suite.hpp"
 #include "util/cli.hpp"
+#include "util/errors.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace lamps;
 
   std::size_t tasks = 300;
@@ -36,6 +41,12 @@ int main(int argc, char** argv) {
   const power::DvsLadder ladder(model);
   const power::SleepModel sleep(model);
 
+  // The instance, checked before any output.
+  const auto specs = stg::random_group_specs(tasks, variant + 1);
+  const Cycles unit = fine ? stg::kFineGrainCyclesPerUnit : stg::kCoarseGrainCyclesPerUnit;
+  const graph::TaskGraph g = graph::scale_weights(stg::generate_random(specs[variant]), unit);
+  const core::Problem prob{&g, core::factor_deadline(g, factor, model), &model, &ladder};
+
   // ---- The operating points available to the schedulers.
   std::cout << "DVS ladder (70 nm technology):\n";
   TextTable lad_table({"Vdd [V]", "f [GHz]", "f/f_max", "P_active [W]", "P_idle [W]",
@@ -52,22 +63,12 @@ int main(int argc, char** argv) {
             << " x f_max at " << ladder.critical_level().vdd.value() << " V\n\n";
 
   // ---- The instance.
-  const auto specs = stg::random_group_specs(tasks, variant + 1);
-  const Cycles unit = fine ? stg::kFineGrainCyclesPerUnit : stg::kCoarseGrainCyclesPerUnit;
-  const graph::TaskGraph g = graph::scale_weights(stg::generate_random(specs[variant]), unit);
   const Cycles cpl = graph::critical_path_length(g);
   std::cout << "Graph " << g.name() << ": " << g.num_tasks() << " tasks, " << g.num_edges()
             << " edges, parallelism " << fmt_fixed(graph::average_parallelism(g), 2)
             << ", CPL " << fmt_fixed(static_cast<double>(cpl) * 1e3 /
                                       model.max_frequency().value(), 3)
             << " ms at f_max, deadline factor " << factor << "\n\n";
-
-  core::Problem prob;
-  prob.graph = &g;
-  prob.model = &model;
-  prob.ladder = &ladder;
-  prob.deadline =
-      Seconds{static_cast<double>(cpl) / model.max_frequency().value() * factor};
 
   // ---- The decision surface: energy vs processor count, +-PS.
   const auto plain = core::processor_sweep(prob, max_procs, false);
@@ -106,4 +107,19 @@ int main(int argc, char** argv) {
   }
   res.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const lamps::Error& e) {
+    // A rejected deadline maps to its documented exit code, as in stg_workflow.
+    std::cerr << "error: " << e.what() << '\n';
+    return lamps::exit_code_for(e.code());
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }

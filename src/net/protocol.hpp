@@ -18,12 +18,14 @@
 // where "result" is the flat deterministic payload built by result_json()
 // — byte-identical for identical requests no matter which worker, cache
 // hit or single-flight follower produced it (the bit-exactness contract
-// lamps_loadgen --check verifies against direct run_strategy calls).
+// lamps_loadgen checks on every response against a direct
+// core::run_service_request call).
 //
 // Failure:
 //   {"id": ..., "ok": false, "error": "<kind>", "message": "..."}
-// with kind one of bad_request | overloaded | draining | internal |
-// too_large | deadline_exceeded.
+// with kind one of bad_request | overloaded | internal | too_large |
+// deadline_exceeded.  A drain sends no error: lines already read are
+// answered, then the connection closes.
 // Full schema and semantics: docs/serving.md.
 #pragma once
 

@@ -5,8 +5,11 @@
 // it writes through send_some, reads through LineReader::fill, and keeps
 // its read, idle and write-stall budgets on the loop's timer wheel.  The
 // blocking helpers — send_all, LineReader::read_line, poll_readable /
-// poll_writable and the connect calls — serve clients: lamps_loadgen,
-// `lamps top` and the tests.
+// poll_writable and the connect calls — serve callers outside the event
+// loop: lamps_loadgen (poll_readable, send_all, try_connect_tcp),
+// `lamps top` and its statsz query (connect_tcp, send_all, read_line),
+// `lamps serve`'s wait on the drain signal (poll_readable), and the tests,
+// where tests/net_test.cpp and tests/chaos_test.cpp hold most of the uses.
 //
 // Robustness hooks (all opt-in, zero cost when unused):
 //   - try_connect_tcp bounds the connect handshake;

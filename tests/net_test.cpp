@@ -849,6 +849,10 @@ TEST(ServeIntegration, QuitQuitQuitDrainsTheDaemon) {
   // The daemon actually drains — wait() returns instead of blocking.
   server.wait();
   EXPECT_TRUE(server.draining());
+  // The drain answers nothing more: the connection ends in EOF, never in
+  // an error line.
+  ASSERT_TRUE(poll_readable(sock.fd(), 2000));
+  EXPECT_EQ(reader.read_line(response), LineReader::Status::kEof);
   // quitquitquit also pulses the process drain signal (so a CLI wrapper
   // waiting on it wakes up); clear it for later tests.
   EXPECT_TRUE(drain_signal_pending());

@@ -574,8 +574,10 @@ int cmd_serve(int argc, const char* const* argv) {
               << " requests (" << reg.counter_value("serve.requests_ok") << " ok, "
               << reg.counter_value("serve.cache_hits") << " cache hits, "
               << reg.counter_value("serve.singleflight_hits") << " single-flight joins, "
-              << reg.counter_value("serve.requests_overloaded") << " shed)"
-              << std::endl;
+              << reg.counter_value("serve.requests_overloaded") << " shed";
+    if (server.chaos() != nullptr)  // the chaos soak's proof that faults fired
+      std::cout << ", " << server.chaos()->injected_total() << " faults injected";
+    std::cout << ')' << std::endl;
     return 0;
   });
 }
