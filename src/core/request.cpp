@@ -6,31 +6,11 @@
 #include "core/incremental.hpp"
 #include "graph/analysis.hpp"
 #include "graph/transform.hpp"
+#include "util/fnv1a.hpp"
 
 namespace lamps::core {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-struct Fnv1a {
-  std::uint64_t h{kFnvOffset};
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    __builtin_memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-};
 
 // Hashes the deadline-invariant part shared by both digests: weights, edge
 // set, explicit deadlines and priority policy.

@@ -1,98 +1,49 @@
 #include "exp/journal.hpp"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "exp/experiment.hpp"
 #include "util/errors.hpp"
+#include "util/fnv1a.hpp"
+#include "util/json.hpp"
+#include "util/json_value.hpp"
 
 namespace lamps::exp {
 
 namespace {
 
-/// %.17g round-trips every finite double: parsing the text yields the same
-/// bit pattern, and re-printing the parsed value yields the same text, so a
-/// journaled payload is stable across write -> load -> re-serialize.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 /// The digest-covered part of a journal line: everything between the braces
 /// except the trailing digest field, in a fixed field order.
 std::string payload(const JournalRecord& r) {
   std::string p = "\"v\":1,\"tag\":\"";
-  json_escape_into(p, r.tag);
+  p += json_escape(r.tag);
   p += "\",\"group\":\"";
-  json_escape_into(p, r.group);
+  p += json_escape(r.group);
   p += "\",\"graph\":\"";
-  json_escape_into(p, r.graph);
+  p += json_escape(r.graph);
   p += "\",\"factor\":";
-  p += fmt_double(r.deadline_factor);
+  p += json_double(r.deadline_factor);
   p += ",\"strategy\":\"";
-  json_escape_into(p, r.strategy);
+  p += json_escape(r.strategy);
   p += "\",\"outcome\":\"";
   p += std::string(core::to_string(r.outcome));
   p += "\",\"error\":\"";
   p += std::string(to_string(r.error));
   p += "\",\"message\":\"";
-  json_escape_into(p, r.message);
+  p += json_escape(r.message);
   p += "\",\"retries\":";
   p += std::to_string(r.retries);
   p += ",\"feasible\":";
   p += r.feasible ? '1' : '0';
   p += ",\"energy_j\":";
-  p += fmt_double(r.energy_j);
+  p += json_double(r.energy_j);
   p += ",\"procs\":";
   p += std::to_string(r.num_procs);
   p += ",\"level\":";
@@ -100,155 +51,21 @@ std::string payload(const JournalRecord& r) {
   p += ",\"schedules\":";
   p += std::to_string(r.schedules_computed);
   p += ",\"parallelism\":";
-  p += fmt_double(r.parallelism);
+  p += json_double(r.parallelism);
   p += ",\"total_work\":";
   p += std::to_string(r.total_work);
   p += ",\"seconds\":";
-  p += fmt_double(r.seconds);
+  p += json_double(r.seconds);
   return p;
 }
 
-// ---- minimal flat-object JSON scanning -----------------------------------
-
-struct Scanner {
-  const std::string& s;
-  std::size_t i{0};
-
-  bool at(char c) const { return i < s.size() && s[i] == c; }
-  bool eat(char c) {
-    if (!at(c)) return false;
-    ++i;
-    return true;
-  }
-  void skip_ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  }
-
-  /// Parses a JSON string literal (opening quote already expected at i).
-  bool string_lit(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (i < s.size()) {
-      const char c = s[i++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (i >= s.size()) return false;
-      const char esc = s[i++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u': {
-          if (i + 4 > s.size()) return false;
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = s[i++];
-            code <<= 4;
-            if (h >= '0' && h <= '9')
-              code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return false;
-          }
-          if (code > 0xff) return false;  // journal only escapes control bytes
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  /// Parses a bare JSON number into its raw text.
-  bool number_lit(std::string& out) {
-    const std::size_t start = i;
-    while (i < s.size() && (std::isdigit(static_cast<unsigned char>(s[i])) != 0 ||
-                            s[i] == '-' || s[i] == '+' || s[i] == '.' || s[i] == 'e' ||
-                            s[i] == 'E'))
-      ++i;
-    if (i == start) return false;
-    out = s.substr(start, i - start);
-    return true;
-  }
-};
-
-struct Field {
-  std::string value;
-  bool is_string{false};
-};
-
-/// Scans one flat JSON object into key -> field.  Rejects nesting.
-bool scan_flat_object(const std::string& line, std::map<std::string, Field>& out) {
-  Scanner sc{line};
-  sc.skip_ws();
-  if (!sc.eat('{')) return false;
-  sc.skip_ws();
-  if (sc.eat('}')) return true;
-  for (;;) {
-    sc.skip_ws();
-    std::string key;
-    if (!sc.string_lit(key)) return false;
-    sc.skip_ws();
-    if (!sc.eat(':')) return false;
-    sc.skip_ws();
-    Field f;
-    if (sc.at('"')) {
-      f.is_string = true;
-      if (!sc.string_lit(f.value)) return false;
-    } else {
-      if (!sc.number_lit(f.value)) return false;
-    }
-    out[key] = std::move(f);
-    sc.skip_ws();
-    if (sc.eat(',')) continue;
-    if (sc.eat('}')) break;
-    return false;
-  }
-  sc.skip_ws();
-  return sc.i == line.size();
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  out = v;
-  return true;
-}
-
-bool parse_double(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  out = v;
-  return true;
+/// The line's seal: FNV-1a of the payload, as 16 lower-case hex digits.
+std::string seal(const std::string& payload) {
+  Fnv1a h;
+  h.bytes(payload);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h.h));
+  return hex;
 }
 
 void throw_io(const std::string& what, const std::string& path) {
@@ -267,7 +84,7 @@ std::string journal_key(const std::string& tag, const std::string& group,
   key += '|';
   key += graph;
   key += '|';
-  key += fmt_double(deadline_factor);
+  key += json_double(deadline_factor);
   key += '|';
   key += strategy;
   return key;
@@ -324,79 +141,46 @@ core::InstanceResult restore_instance(const JournalRecord& rec) {
 
 std::string journal_line(const JournalRecord& rec) {
   const std::string p = payload(rec);
-  char digest[32];
-  std::snprintf(digest, sizeof digest, "%016llx",
-                static_cast<unsigned long long>(fnv1a(p)));
-  std::string line = "{";
-  line += p;
-  line += ",\"digest\":\"";
-  line += digest;
-  line += "\"}";
-  return line;
+  return "{" + p + ",\"digest\":\"" + seal(p) + "\"}";
 }
 
 std::optional<JournalRecord> parse_journal_line(const std::string& line) {
-  std::map<std::string, Field> fields;
-  if (!scan_flat_object(line, fields)) return std::nullopt;
-
-  const auto str = [&](const char* key, std::string& out) {
-    const auto it = fields.find(key);
-    if (it == fields.end() || !it->second.is_string) return false;
-    out = it->second.value;
-    return true;
-  };
-  const auto num = [&](const char* key, std::string& out) {
-    const auto it = fields.find(key);
-    if (it == fields.end() || it->second.is_string) return false;
-    out = it->second.value;
-    return true;
-  };
-
-  std::string text;
-  std::uint64_t u = 0;
-  JournalRecord rec;
-
-  if (!num("v", text) || !parse_u64(text, u) || u != 1) return std::nullopt;
-  if (!str("tag", rec.tag)) return std::nullopt;
-  if (!str("group", rec.group)) return std::nullopt;
-  if (!str("graph", rec.graph)) return std::nullopt;
-  if (!num("factor", text) || !parse_double(text, rec.deadline_factor)) return std::nullopt;
-  if (!str("strategy", rec.strategy)) return std::nullopt;
-
-  if (!str("outcome", text)) return std::nullopt;
-  rec.outcome = core::cell_outcome_from_string(text);
-  if (text != core::to_string(rec.outcome)) return std::nullopt;
-  if (!str("error", text)) return std::nullopt;
-  rec.error = error_code_from_string(text);
-  if (text != to_string(rec.error)) return std::nullopt;
-  if (!str("message", rec.message)) return std::nullopt;
-  if (!num("retries", text) || !parse_u64(text, u)) return std::nullopt;
-  rec.retries = static_cast<std::uint32_t>(u);
-
-  if (!num("feasible", text) || !parse_u64(text, u) || u > 1) return std::nullopt;
-  rec.feasible = u == 1;
-  if (!num("energy_j", text) || !parse_double(text, rec.energy_j)) return std::nullopt;
-  if (!num("procs", text) || !parse_u64(text, u)) return std::nullopt;
-  rec.num_procs = u;
-  if (!num("level", text) || !parse_u64(text, u)) return std::nullopt;
-  rec.level_index = u;
-  if (!num("schedules", text) || !parse_u64(text, u)) return std::nullopt;
-  rec.schedules_computed = u;
-  if (!num("parallelism", text) || !parse_double(text, rec.parallelism)) return std::nullopt;
-  if (!num("total_work", text) || !parse_u64(text, u)) return std::nullopt;
-  rec.total_work = u;
-  if (!num("seconds", text) || !parse_double(text, rec.seconds)) return std::nullopt;
-
-  // The digest seals the payload: re-serialize what we parsed and compare.
-  // A corrupted byte anywhere in the line fails here even when the line is
-  // still syntactically valid JSON.
-  std::string digest;
-  if (!str("digest", digest)) return std::nullopt;
-  char expected[32];
-  std::snprintf(expected, sizeof expected, "%016llx",
-                static_cast<unsigned long long>(fnv1a(payload(rec))));
-  if (digest != expected) return std::nullopt;
-  return rec;
+  try {
+    const JsonValue doc = JsonValue::parse(line);
+    const auto field = [&doc](std::string_view key) -> const JsonValue& {
+      const JsonValue* v = doc.get(key);
+      if (v == nullptr)
+        throw InputError(ErrorCode::kJsonParse, "missing field", std::string(key));
+      return *v;
+    };
+    if (field("v").as_u64() != 1) return std::nullopt;
+    JournalRecord rec;
+    rec.tag = field("tag").as_string();
+    rec.group = field("group").as_string();
+    rec.graph = field("graph").as_string();
+    rec.deadline_factor = field("factor").as_number();
+    rec.strategy = field("strategy").as_string();
+    rec.outcome = core::cell_outcome_from_string(field("outcome").as_string());
+    rec.error = error_code_from_string(field("error").as_string());
+    rec.message = field("message").as_string();
+    rec.retries = static_cast<std::uint32_t>(field("retries").as_u64());
+    rec.feasible = field("feasible").as_u64() == 1;
+    rec.energy_j = field("energy_j").as_number();
+    rec.num_procs = field("procs").as_u64();
+    rec.level_index = field("level").as_u64();
+    rec.schedules_computed = field("schedules").as_u64();
+    rec.parallelism = field("parallelism").as_number();
+    rec.total_work = field("total_work").as_u64();
+    rec.seconds = field("seconds").as_number();
+    // The digest seals the payload: re-serialize what was parsed and
+    // compare.  A field that does not read back to the bytes it was written
+    // as (a corrupted byte, an unknown outcome name, a feasible flag of 2)
+    // fails here even when the line is still valid JSON.
+    if (field("digest").as_string() != seal(payload(rec))) return std::nullopt;
+    return rec;
+  } catch (const InputError&) {
+    return std::nullopt;  // not JSON, a field missing or of the wrong type
+  }
 }
 
 Journal::~Journal() { close(); }

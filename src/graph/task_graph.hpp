@@ -89,6 +89,8 @@ class TaskGraph {
 
  private:
   friend class TaskGraphBuilder;
+  friend TaskGraph scale_weights(const TaskGraph& g, Cycles factor);
+  friend TaskGraph renamed(const TaskGraph& g, std::string name);
   TaskGraph() = default;
 
   std::string name_;

@@ -1,34 +1,29 @@
 #include "graph/transform.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace lamps::graph {
 
-namespace {
-
-TaskGraph rebuild(const TaskGraph& g, std::string name, Cycles factor) {
-  TaskGraphBuilder b(std::move(name));
-  for (TaskId v = 0; v < g.num_tasks(); ++v) {
-    const Cycles w = g.weight(v);
-    if (factor != 1 && w != 0 && w > static_cast<Cycles>(-1) / factor)
-      throw std::overflow_error("scale_weights: weight overflow");
-    (void)b.add_task(w * factor, g.label(v));
-  }
-  for (TaskId v = 0; v < g.num_tasks(); ++v)
-    for (const TaskId s : g.successors(v)) b.add_edge(v, s);
-  for (TaskId v = 0; v < g.num_tasks(); ++v)
-    if (const auto d = g.explicit_deadline(v)) b.set_deadline(v, *d);
-  return b.build();
-}
-
-}  // namespace
+// Both transforms copy the frozen graph and edit only what they change: the
+// structure (CSR arrays, topological order, sources, sinks) does not depend
+// on the weights or the name, so it needs no second builder pass.
 
 TaskGraph scale_weights(const TaskGraph& g, Cycles factor) {
-  return rebuild(g, g.name(), factor);
+  TaskGraph out = g;
+  out.total_work_ = 0;
+  for (Cycles& w : out.weights_) {
+    if (__builtin_mul_overflow(w, factor, &w))
+      throw std::overflow_error("scale_weights: weight overflow");
+    out.total_work_ += w;  // wraps modulo 2^64, as the builder's sum does
+  }
+  return out;
 }
 
 TaskGraph renamed(const TaskGraph& g, std::string name) {
-  return rebuild(g, std::move(name), 1);
+  TaskGraph out = g;
+  out.name_ = std::move(name);
+  return out;
 }
 
 }  // namespace lamps::graph

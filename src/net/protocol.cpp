@@ -2,10 +2,10 @@
 
 #include <sstream>
 
-#include "net/jsonv.hpp"
 #include "stg/format.hpp"
 #include "util/errors.hpp"
 #include "util/json.hpp"
+#include "util/json_value.hpp"
 
 namespace lamps::net {
 

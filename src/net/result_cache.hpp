@@ -4,8 +4,8 @@
 // replayed over time (dashboards, retries) and the same request in
 // flight on several connections at once (a fan-out client).  The first
 // is answered by an LRU of completed result payloads keyed by the
-// core::service_request_digest (the same FNV-1a-keyed idea the journal
-// uses to seal sweep cells, applied to requests; within one computation
+// core::service_request_digest (util/fnv1a.hpp's Fnv1a, which also seals
+// the experiment journal's records; within one computation
 // core::ScheduleCache still memoizes the per-processor-count probes).
 // The second is collapsed by single-flight, and crucially the dedup
 // happens at *admission* time, not when a worker dequeues the job: the

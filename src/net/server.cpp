@@ -224,8 +224,8 @@ void Server::begin_drain() {
 void Server::on_accept_ready() {
   if (drain_begun_ || draining()) return;
   // One accept per event: level-triggered epoll re-reports a non-empty
-  // backlog immediately, and the one-at-a-time cadence keeps the chaos
-  // accept_stall decision schedule identical to the threaded server's.
+  // backlog immediately, and every accept() follows exactly one chaos
+  // accept_stall decision, however the backlog batches.
   if (FaultInjector* chaos = config_.chaos.get(); chaos != nullptr) {
     const int stall = chaos->accept_stall_ms();
     if (stall > 0) std::this_thread::sleep_for(std::chrono::milliseconds(stall));
@@ -281,9 +281,8 @@ void Server::process_input(const ConnPtr& conn) {
           conn->queued_responses() >= config_.max_write_queue) {
         // A client that pipelines faster than it drains responses is
         // bounded here: stop reading, flush what was admitted,
-        // disconnect.  Nothing admitted is ever dropped.  (The line that
-        // tripped the bound is dropped unanswered, exactly like the
-        // threaded server's reader stopping before handle_line.)
+        // disconnect.  Nothing admitted is ever dropped; the line that
+        // tripped the bound was never admitted and gets no answer.
         metrics().write_queue_overflow.inc();
         obs::LogEvent(obs::LogSeverity::kWarn, "serve.write_queue_overflow")
             .u64("queued", conn->queued_responses())

@@ -1,73 +1,23 @@
 #include "sched/schedule_io.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "util/errors.hpp"
+#include "util/json_value.hpp"
+
 namespace lamps::sched {
 
 namespace {
 
-/// Minimal recursive-descent scanner for exactly the JSON subset the writer
-/// produces (objects, arrays, unsigned integers, fixed key strings) — not a
-/// general JSON parser, by design.
-class Scanner {
- public:
-  explicit Scanner(std::istream& is) : text_(std::istreambuf_iterator<char>(is), {}) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string key() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') out.push_back(text_[pos_++]);
-    expect('"');
-    expect(':');
-    return out;
-  }
-
-  [[nodiscard]] std::uint64_t number() {
-    skip_ws();
-    if (pos_ >= text_.size() || std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0)
-      fail("expected number");
-    std::uint64_t v = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0)
-      v = v * 10 + static_cast<std::uint64_t>(text_[pos_++] - '0');
-    return v;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("schedule JSON parse error at offset " + std::to_string(pos_) +
-                             ": " + what);
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_{0};
-};
+[[noreturn]] void fail(const std::string& what) {
+  throw InputError(ErrorCode::kJsonParse, what, "schedule JSON");
+}
 
 }  // namespace
 
@@ -92,55 +42,38 @@ std::string to_schedule_json(const Schedule& s) {
 }
 
 Schedule read_schedule_json(std::istream& is) {
-  Scanner sc(is);
-  sc.expect('{');
-
+  const JsonValue doc =
+      JsonValue::parse(std::string(std::istreambuf_iterator<char>(is), {}));
   std::uint64_t num_procs = 0, num_tasks = 0;
   std::vector<Placement> placements;
-  bool first_field = true;
-  while (true) {
-    if (!first_field && !sc.consume(',')) break;
-    first_field = false;
-    const std::string k = sc.key();
-    if (k == "num_procs") {
-      num_procs = sc.number();
-    } else if (k == "num_tasks") {
-      num_tasks = sc.number();
-    } else if (k == "placements") {
-      sc.expect('[');
-      if (!sc.consume(']')) {
-        do {
-          sc.expect('{');
-          Placement pl;
-          bool first_inner = true;
-          while (true) {
-            if (!first_inner && !sc.consume(',')) break;
-            first_inner = false;
-            const std::string field = sc.key();
-            const std::uint64_t v = sc.number();
-            if (field == "task")
-              pl.task = static_cast<graph::TaskId>(v);
-            else if (field == "proc")
-              pl.proc = static_cast<ProcId>(v);
-            else if (field == "start")
-              pl.start = v;
-            else if (field == "finish")
-              pl.finish = v;
-            else
-              sc.fail("unknown placement field: " + field);
-          }
-          sc.expect('}');
-          placements.push_back(pl);
-        } while (sc.consume(','));
-        sc.expect(']');
+  for (const auto& [key, value] : doc.members()) {
+    if (key == "num_procs") {
+      num_procs = value.as_u64();
+    } else if (key == "num_tasks") {
+      num_tasks = value.as_u64();
+    } else if (key == "placements") {
+      for (const JsonValue& item : value.items()) {
+        Placement pl;
+        for (const auto& [field, v] : item.members()) {
+          if (field == "task")
+            pl.task = static_cast<graph::TaskId>(v.as_u64());
+          else if (field == "proc")
+            pl.proc = static_cast<ProcId>(v.as_u64());
+          else if (field == "start")
+            pl.start = v.as_u64();
+          else if (field == "finish")
+            pl.finish = v.as_u64();
+          else
+            fail("unknown placement field: " + field);
+        }
+        placements.push_back(pl);
       }
     } else {
-      sc.fail("unknown field: " + k);
+      fail("unknown field: " + key);
     }
   }
-  sc.expect('}');
 
-  if (num_procs == 0) throw std::runtime_error("schedule JSON: num_procs missing or zero");
+  if (num_procs == 0) fail("num_procs missing or zero");
   Schedule s(num_procs, num_tasks);
   // Accept any placement order: sort per (proc, start) before replaying
   // through the validating place() API.
@@ -150,8 +83,7 @@ Schedule read_schedule_json(std::istream& is) {
   try {
     for (const Placement& pl : placements) s.place(pl.task, pl.proc, pl.start, pl.finish);
   } catch (const std::logic_error& e) {
-    throw std::runtime_error(std::string("schedule JSON: inconsistent placements: ") +
-                             e.what());
+    fail(std::string("inconsistent placements: ") + e.what());
   }
   return s;
 }

@@ -19,9 +19,10 @@ namespace lamps::sched {
 void write_schedule_json(const Schedule& s, std::ostream& os);
 [[nodiscard]] std::string to_schedule_json(const Schedule& s);
 
-/// Parses a schedule written by write_schedule_json.  Throws
-/// std::runtime_error on malformed input or inconsistent placements
-/// (duplicate tasks, overlaps).
+/// Parses a schedule written by write_schedule_json, through the strict
+/// JSON reader.  Throws InputError (E_JSON_PARSE, a std::runtime_error) on
+/// malformed JSON, unknown fields, values that are not integers in
+/// [0, 2^64), and inconsistent placements (duplicate tasks, overlaps).
 [[nodiscard]] Schedule read_schedule_json(std::istream& is);
 
 }  // namespace lamps::sched

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/request.hpp"
-#include "net/jsonv.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
@@ -38,6 +37,7 @@
 #include "util/errors.hpp"
 #include "util/faultinject.hpp"
 #include "util/json.hpp"
+#include "util/json_value.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
 

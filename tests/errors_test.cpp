@@ -5,6 +5,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 
 #include "exp/journal.hpp"
@@ -239,6 +240,77 @@ TEST(Journal, RejectsCorruptionAndTruncation) {
   EXPECT_FALSE(exp::parse_journal_line(tampered).has_value());
   EXPECT_FALSE(exp::parse_journal_line("not json at all").has_value());
   EXPECT_FALSE(exp::parse_journal_line("{}").has_value());
+}
+
+// Lines written before the journal shared util/json.hpp's escaper, which
+// spelled the control bytes 0x08 and 0x0c \u0008 and \u000c (now \b and
+// \f).  The first holds a quote, a backslash, \n, \t and \u0001.
+constexpr const char* kEarlierLine =
+    R"({"v":1,"tag":"coarse","group":"50","graph":"rand50_3","factor":1.5,)"
+    R"("strategy":"LAMPS+PS","outcome":"FAIL","error":"E_SCHEDULE_INVALID",)"
+    R"("message":"task \"a\" \\ b\n\tc\u0001d","retries":1,"feasible":1,)"
+    R"("energy_j":0.12345678901234568,"procs":7,"level":3,"schedules":42,)"
+    R"("parallelism":5.0294117647058822,"total_work":740900000,)"
+    R"("seconds":4.3587999999999997e-05,"digest":"c20a539eaf1a51de"})";
+constexpr const char* kEarlierU0008Line =
+    R"({"v":1,"tag":"coarse","group":"50","graph":"rand50_3","factor":1.5,)"
+    R"("strategy":"LAMPS+PS","outcome":"FAIL","error":"E_SCHEDULE_INVALID",)"
+    R"("message":"slot\u00082","retries":1,"feasible":1,)"
+    R"("energy_j":0.12345678901234568,"procs":7,"level":3,"schedules":42,)"
+    R"("parallelism":5.0294117647058822,"total_work":740900000,)"
+    R"("seconds":4.3587999999999997e-05,"digest":"db86ce17dea89b4c"})";
+
+TEST(Journal, EarlierLineLoadsAndReserializesToTheSameBytes) {
+  const auto parsed = exp::parse_journal_line(kEarlierLine);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->message, "task \"a\" \\ b\n\tc\x01" "d");
+  EXPECT_EQ(parsed->error, ErrorCode::kScheduleInvalid);
+  EXPECT_EQ(exp::journal_line(*parsed), kEarlierLine);
+}
+
+TEST(Journal, TotalWorkAtTwoTo64MinusOneRoundTrips) {
+  exp::JournalRecord rec = sample_record();
+  rec.total_work = std::numeric_limits<std::uint64_t>::max();
+  const std::string line = exp::journal_line(rec);
+  EXPECT_NE(line.find("\"total_work\":18446744073709551615,"), std::string::npos);
+  const auto parsed = exp::parse_journal_line(line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->total_work, rec.total_work);
+  EXPECT_EQ(exp::journal_line(*parsed), line);
+}
+
+// A line sealed over \u0008 no longer re-serializes to its sealed bytes, so
+// it fails the seal: load drops it instead of misreading it, and with no
+// record for its key the resumed sweep re-runs the cell.  The re-run's
+// record, written with \b, loads back to the same message bytes.
+TEST(Journal, EarlierU0008LineIsDroppedAndItsCellReruns) {
+  EXPECT_FALSE(exp::parse_journal_line(kEarlierU0008Line).has_value());
+
+  const fs::path dir = fs::temp_directory_path() / "lamps_journal_u0008_test";
+  fs::create_directories(dir);
+  const std::string path = (dir / "j.jsonl").string();
+  exp::JournalRecord other = sample_record();
+  other.graph = "rand50_4";
+  std::ofstream(path, std::ios::trunc) << kEarlierU0008Line << '\n'
+                                       << exp::journal_line(other) << '\n';
+  const exp::JournalContents contents = exp::Journal::load(path);
+  EXPECT_EQ(contents.lines_total, 2u);
+  EXPECT_EQ(contents.lines_dropped, 1u);
+  EXPECT_EQ(contents.records.size(), 1u);
+  EXPECT_EQ(contents.records.count(
+                exp::journal_key("coarse", "50", "rand50_3", 1.5, "LAMPS+PS")),
+            0u);
+  fs::remove_all(dir);
+
+  exp::JournalRecord rerun = sample_record();
+  rerun.outcome = core::CellOutcome::kFailed;
+  rerun.error = ErrorCode::kScheduleInvalid;
+  rerun.message = "slot\b2";
+  const std::string line = exp::journal_line(rerun);
+  EXPECT_NE(line.find(R"("message":"slot\b2")"), std::string::npos);
+  const auto parsed = exp::parse_journal_line(line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->message, rerun.message);
 }
 
 TEST(Journal, AppendLoadRoundTripAndLaterRecordWins) {

@@ -13,11 +13,11 @@
 #include <thread>
 #include <vector>
 
-#include "net/jsonv.hpp"
 #include "obs/flight.hpp"
 #include "obs/flush.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "util/json_value.hpp"
 
 namespace lamps::obs {
 namespace {
@@ -108,8 +108,8 @@ TEST(FlightRecorderTest, SlowRequestsArePromotedToStructuredWarnRecords) {
   EXPECT_EQ(slow.value(), before + 1);
   const std::string line = sink.str();
   ASSERT_FALSE(line.empty());
-  const lamps::net::JsonValue doc =
-      lamps::net::JsonValue::parse(line.substr(0, line.find('\n')));
+  const lamps::JsonValue doc =
+      lamps::JsonValue::parse(line.substr(0, line.find('\n')));
   EXPECT_EQ(doc.get_string("event", ""), "serve.slow_request");
   EXPECT_EQ(doc.get_string("level", ""), "warn");
   EXPECT_DOUBLE_EQ(doc.get_number("req", 0.0), 7.0);
@@ -135,7 +135,7 @@ TEST(FlightRecorderTest, FastRequestsAreNotPromoted) {
 TEST(FlightRecorderTest, WriteJsonIsStrictWithHexDigestAndPhaseBreakdown) {
   std::ostringstream os;
   FlightRecorder::write_json(os, make_record(3));
-  const lamps::net::JsonValue doc = lamps::net::JsonValue::parse(os.str());
+  const lamps::JsonValue doc = lamps::JsonValue::parse(os.str());
   EXPECT_DOUBLE_EQ(doc.get_number("req", 0.0), 3.0);
   // 64-bit digests do not survive double-typed JSON numbers, so the wire
   // format is a fixed-width hex string.
@@ -161,8 +161,8 @@ TEST(StructuredLogTest, LogEventEmitsOneValidJsonRecord) {
 
   const std::string line = sink.str();
   ASSERT_EQ(line.back(), '\n');
-  const lamps::net::JsonValue doc =
-      lamps::net::JsonValue::parse(line.substr(0, line.size() - 1));
+  const lamps::JsonValue doc =
+      lamps::JsonValue::parse(line.substr(0, line.size() - 1));
   EXPECT_GE(doc.get_number("ts_ns", -1.0), 0.0);
   EXPECT_EQ(doc.get_string("level", ""), "info");
   EXPECT_EQ(doc.get_string("event", ""), "test.event");
@@ -196,8 +196,8 @@ TEST(StructuredLogTest, PlainLinesWrapAsRecordsWhenStructuredLoggingIsOn) {
   set_structured_logging(true);
   emit_plain(LogSeverity::kWarn, "plain [text] line");
   const std::string line = sink.str();
-  const lamps::net::JsonValue doc =
-      lamps::net::JsonValue::parse(line.substr(0, line.find('\n')));
+  const lamps::JsonValue doc =
+      lamps::JsonValue::parse(line.substr(0, line.find('\n')));
   EXPECT_EQ(doc.get_string("event", ""), "log");
   EXPECT_EQ(doc.get_string("level", ""), "warn");
   EXPECT_EQ(doc.get_string("msg", ""), "plain [text] line");
@@ -245,11 +245,11 @@ TEST(MetricsFlusherTest, HookReceivesParseableSamplesWithDeltas) {
   std::uint64_t delta_sum = 0;
   ASSERT_EQ(lines.size(), flusher.samples());
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    const lamps::net::JsonValue doc = lamps::net::JsonValue::parse(lines[i]);
+    const lamps::JsonValue doc = lamps::JsonValue::parse(lines[i]);
     EXPECT_DOUBLE_EQ(doc.get_number("seq", -1.0), static_cast<double>(i));
     EXPECT_GE(doc.get_number("ts_ns", -1.0), 0.0);
     ASSERT_NE(doc.get("metrics"), nullptr);
-    if (const lamps::net::JsonValue* deltas = doc.get("deltas");
+    if (const lamps::JsonValue* deltas = doc.get("deltas");
         deltas != nullptr && deltas->get("flushtest.hook_ticks") != nullptr)
       delta_sum += static_cast<std::uint64_t>(
           deltas->get("flushtest.hook_ticks")->as_number());
@@ -279,7 +279,7 @@ TEST(MetricsFlusherTest, AppendsJsonLinesToAFileAndStopIsIdempotent) {
   std::string line;
   std::size_t parsed = 0;
   while (std::getline(in, line)) {
-    const lamps::net::JsonValue doc = lamps::net::JsonValue::parse(line);
+    const lamps::JsonValue doc = lamps::JsonValue::parse(line);
     EXPECT_NE(doc.get("metrics"), nullptr);
     ++parsed;
   }

@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/analysis.hpp"
@@ -18,6 +19,8 @@
 
 namespace lamps::stg {
 namespace {
+
+using namespace std::string_view_literals;
 
 struct FuzzCase {
   std::size_t num_tasks;
@@ -106,7 +109,7 @@ TEST(FormatStructured, AppGraphsRoundTrip) {
 
 struct BadStgCase {
   const char* label;
-  const char* text;
+  std::string_view text;  ///< may hold NUL bytes
   ErrorCode code;
   const char* context;           ///< expected Error::context()
   const char* message_fragment;  ///< substring of Error::message()
@@ -119,7 +122,7 @@ class MalformedStg : public ::testing::TestWithParam<BadStgCase> {};
 
 TEST_P(MalformedStg, RejectedWithTypedErrorAndLineContext) {
   const BadStgCase& c = GetParam();
-  std::istringstream is(c.text);
+  std::istringstream is{std::string(c.text)};
   ParseOptions opts;
   opts.name = "bad.stg";
   try {
@@ -172,6 +175,13 @@ INSTANTIATE_TEST_SUITE_P(
          "bad.stg:5", "more task lines than declared"},
         {"dependency_cycle", "2\n0 0 0\n1 5 1 2\n2 5 1 1\n3 0 1 2\n",
          ErrorCode::kGraphStructure, "bad.stg", "cycle"},
+        // A '#' starts a comment only as a line's first token.
+        {"trailing_hash", "1\n0 0 0\n1 5 1 0 # note\n2 0 1 1\n", ErrorCode::kStgParse,
+         "bad.stg:3", "expected 1 predecessor ids, found 3"},
+        {"weight_past_2_64", "1\n0 0 0\n1 18446744073709551616 1 0\n2 0 1 1\n",
+         ErrorCode::kStgParse, "bad.stg:3", "not a non-negative integer"},
+        {"nul_in_token", "1\n0 0 0\n1 5\0" "7 1 0\n2 0 1 1\n"sv, ErrorCode::kStgParse,
+         "bad.stg:3", "not a non-negative integer"},
     }),
     [](const auto& pinfo) { return std::string(pinfo.param.label); });
 

@@ -2,13 +2,16 @@
 // (critical path, levels, parallelism), transformations and export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
+#include <string>
 
 #include "graph/analysis.hpp"
 #include "graph/io.hpp"
 #include "graph/task_graph.hpp"
 #include "graph/transform.hpp"
-#include "net/jsonv.hpp"
+#include "util/json_value.hpp"
 
 namespace lamps::graph {
 namespace {
@@ -230,6 +233,84 @@ TEST(Transform, PreservesExplicitDeadlines) {
   EXPECT_DOUBLE_EQ(g.explicit_deadline(0)->value(), 0.5);
 }
 
+/// A seeded random DAG with labels and explicit deadlines on some tasks.
+TaskGraph random_labelled_dag(std::uint64_t seed, Cycles max_weight) {
+  std::mt19937_64 rng(seed);
+  TaskGraphBuilder b("rand-" + std::to_string(seed));
+  const std::size_t n = 20 + rng() % 40;
+  for (std::size_t v = 0; v < n; ++v) (void)b.add_task(rng() % max_weight, std::to_string(v));
+  for (std::size_t e = 0; e < 3 * n; ++e) {
+    const auto from = static_cast<TaskId>(rng() % n);
+    const auto to = static_cast<TaskId>(rng() % n);
+    if (from < to) b.add_edge(from, to);  // ascending ids keep it acyclic
+  }
+  for (std::size_t v = rng() % 5; v < n; v += 1 + rng() % 5)
+    b.set_deadline(static_cast<TaskId>(v), Seconds{1.0 + static_cast<double>(rng() % 1000)});
+  return b.build();
+}
+
+/// A second builder pass over the same labels, edges and deadlines, with
+/// every weight multiplied by `factor`.
+TaskGraph rebuilt(const TaskGraph& g, const std::string& name, Cycles factor) {
+  TaskGraphBuilder b(name);
+  for (TaskId v = 0; v < g.num_tasks(); ++v) (void)b.add_task(g.weight(v) * factor, g.label(v));
+  for (TaskId v = 0; v < g.num_tasks(); ++v)
+    for (const TaskId s : g.successors(v)) b.add_edge(v, s);
+  for (TaskId v = 0; v < g.num_tasks(); ++v)
+    if (const auto d = g.explicit_deadline(v)) b.set_deadline(v, *d);
+  return b.build();
+}
+
+void expect_identical(const TaskGraph& a, const TaskGraph& b) {
+  const auto same = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_TRUE(same(a.weights(), b.weights()));
+  EXPECT_TRUE(same(a.succ_offsets(), b.succ_offsets()));
+  EXPECT_TRUE(same(a.succ_targets(), b.succ_targets()));
+  EXPECT_TRUE(same(a.pred_offsets(), b.pred_offsets()));
+  EXPECT_TRUE(same(a.pred_targets(), b.pred_targets()));
+  EXPECT_TRUE(same(a.topological_order(), b.topological_order()));
+  EXPECT_TRUE(same(a.sources(), b.sources()));
+  EXPECT_TRUE(same(a.sinks(), b.sinks()));
+  EXPECT_EQ(a.total_work(), b.total_work());
+  EXPECT_EQ(a.has_explicit_deadlines(), b.has_explicit_deadlines());
+  ASSERT_EQ(a.num_tasks(), b.num_tasks());
+  for (TaskId v = 0; v < a.num_tasks(); ++v) {
+    EXPECT_EQ(a.label(v), b.label(v));
+    const auto da = a.explicit_deadline(v);
+    const auto db = b.explicit_deadline(v);
+    ASSERT_EQ(da.has_value(), db.has_value()) << v;
+    if (da.has_value()) {
+      EXPECT_EQ(da->value(), db->value()) << v;
+    }
+  }
+}
+
+// The transforms copy the frozen graph and edit the weights, total work or
+// name; the result must equal what a full rebuild produces, array for
+// array, including a total work that wraps past 2^64 the way the builder's
+// sum does.
+TEST(Transform, CopyEqualsRebuild) {
+  bool wrapped = false;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Cycles max_weight = seed % 3 == 0 ? Cycles{1} << 60 : 1000;
+    const TaskGraph g = random_labelled_dag(seed, max_weight);
+    ASSERT_TRUE(g.has_explicit_deadlines());
+    for (const Cycles factor : {Cycles{1}, Cycles{7}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " factor " + std::to_string(factor));
+      const TaskGraph scaled = scale_weights(g, factor);
+      expect_identical(scaled, rebuilt(g, g.name(), factor));
+      Cycles sum = 0;
+      for (const Cycles w : scaled.weights()) wrapped |= __builtin_add_overflow(sum, w, &sum);
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + " renamed");
+    expect_identical(renamed(g, "other"), rebuilt(g, "other", 1));
+  }
+  EXPECT_TRUE(wrapped) << "no case summed past 2^64";
+}
+
 // ---------------------------------------------------------------- export --
 
 TEST(Io, DotContainsNodesAndEdges) {
@@ -253,7 +334,7 @@ TEST(Io, JsonContainsTasksEdgesAndEscapes) {
   EXPECT_NE(json.find("[0, 1]"), std::string::npos);
   EXPECT_NE(json.find("\"deadline\": 0.5"), std::string::npos);
   // Control bytes are escaped, so a strict parser reads the document back.
-  const net::JsonValue doc = net::JsonValue::parse(json);
+  const JsonValue doc = JsonValue::parse(json);
   EXPECT_EQ(doc.get_string("name", ""), "with \"quote\"");
   const auto& tasks = doc.get("tasks")->items();
   ASSERT_EQ(tasks.size(), 3U);

@@ -1,18 +1,20 @@
 // JSON encoding/decoding regression tests: the shared escaper in
-// util/json.hpp round-tripped through the strict parser in net/jsonv.hpp
+// util/json.hpp round-tripped through the strict parser in
+// util/json_value.hpp
 // (each side validates the other), plus the strictness guarantees of the
 // parser itself and the non-finite double policy of the exporters.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
 
-#include "net/jsonv.hpp"
 #include "obs/metrics.hpp"
 #include "util/errors.hpp"
 #include "util/json.hpp"
+#include "util/json_value.hpp"
 
 namespace lamps {
 namespace {
@@ -20,7 +22,7 @@ namespace {
 std::string roundtrip(const std::string& original) {
   std::ostringstream ss;
   write_json_string(ss, original);
-  return net::JsonValue::parse(ss.str()).as_string();
+  return JsonValue::parse(ss.str()).as_string();
 }
 
 TEST(JsonEscape, QuotesAndBackslashes) {
@@ -52,11 +54,11 @@ TEST(JsonDouble, FiniteValuesKeepFullPrecisionNonFiniteAreNull) {
   EXPECT_EQ(json_double(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(json_double(-std::numeric_limits<double>::infinity()), "null");
   const double v = 0.1234567890123456789;
-  EXPECT_DOUBLE_EQ(net::JsonValue::parse(json_double(v)).as_number(), v);
+  EXPECT_DOUBLE_EQ(JsonValue::parse(json_double(v)).as_number(), v);
 }
 
 TEST(JsonParser, ParsesScalarsArraysAndObjects) {
-  const net::JsonValue doc = net::JsonValue::parse(
+  const JsonValue doc = JsonValue::parse(
       R"({"s":"x","n":-1.5e2,"b":true,"z":null,"a":[1,2,3],"o":{"k":"v"}})");
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.get("s")->as_string(), "x");
@@ -72,9 +74,9 @@ TEST(JsonParser, ParsesScalarsArraysAndObjects) {
 }
 
 TEST(JsonParser, DecodesEscapesIncludingSurrogatePairs) {
-  EXPECT_EQ(net::JsonValue::parse(R"("\u0041\n\t\"\\")").as_string(), "A\n\t\"\\");
+  EXPECT_EQ(JsonValue::parse(R"("\u0041\n\t\"\\")").as_string(), "A\n\t\"\\");
   // U+1F680 (rocket) as a surrogate pair -> 4-byte UTF-8.
-  EXPECT_EQ(net::JsonValue::parse(R"("\ud83d\ude80")").as_string(),
+  EXPECT_EQ(JsonValue::parse(R"("\ud83d\ude80")").as_string(),
             "\xf0\x9f\x9a\x80");
 }
 
@@ -94,7 +96,7 @@ TEST(JsonParser, RejectsMalformedDocuments) {
       "{\"a\" 1}",        // missing colon
   };
   for (const char* doc : bad) {
-    EXPECT_THROW((void)net::JsonValue::parse(doc), InputError) << doc;
+    EXPECT_THROW((void)JsonValue::parse(doc), InputError) << doc;
   }
 }
 
@@ -102,19 +104,19 @@ TEST(JsonParser, RejectsMalformedDocuments) {
 // the serving loop's stack.  Depth kMaxDepth still parses; one more level
 // is a typed parse error, however long the run of brackets.
 TEST(JsonParser, NestingIsCappedAtMaxDepth) {
-  const std::size_t max = net::JsonValue::kMaxDepth;
+  const std::size_t max = JsonValue::kMaxDepth;
   const std::string ok = std::string(max, '[') + std::string(max, ']');
-  EXPECT_TRUE(net::JsonValue::parse(ok).is_array());
+  EXPECT_TRUE(JsonValue::parse(ok).is_array());
   std::string objects;
   for (std::size_t i = 0; i < max; ++i) objects += "{\"a\":";
   objects += "1" + std::string(max, '}');
-  EXPECT_TRUE(net::JsonValue::parse(objects).is_object());
+  EXPECT_TRUE(JsonValue::parse(objects).is_object());
 
   for (const std::string& deep :
        {std::string(max + 1, '[') + std::string(max + 1, ']'), "{\"a\":" + ok + "}",
         std::string(2 << 20, '[')}) {
     try {
-      (void)net::JsonValue::parse(deep);
+      (void)JsonValue::parse(deep);
       ADD_FAILURE() << "accepted nesting deeper than kMaxDepth";
     } catch (const InputError& e) {
       EXPECT_EQ(e.code(), ErrorCode::kJsonParse);
@@ -124,10 +126,33 @@ TEST(JsonParser, NestingIsCappedAtMaxDepth) {
 }
 
 TEST(JsonParser, TypeMismatchesThrow) {
-  const net::JsonValue doc = net::JsonValue::parse(R"({"n":1,"s":"x"})");
+  const JsonValue doc = JsonValue::parse(R"({"n":1,"s":"x"})");
   EXPECT_THROW((void)doc.get("n")->as_string(), InputError);
   EXPECT_THROW((void)doc.get("s")->as_number(), InputError);
   EXPECT_THROW((void)doc.get_number("s", 0.0), InputError);  // present but wrong type
+}
+
+// Cycle counts and total work exceed the 2^53 a double holds exactly, so
+// bare-digit tokens also keep their exact value; anything else is refused.
+TEST(JsonParser, U64IsExactForBareDigitTokensOnly) {
+  EXPECT_EQ(JsonValue::parse("0").as_u64(), 0U);
+  EXPECT_EQ(JsonValue::parse("9007199254740993").as_u64(), 9007199254740993ULL);
+  EXPECT_EQ(JsonValue::parse("18446744073709551615").as_u64(),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* doc : {"18446744073709551616", "-1", "-0", "1.0", "1e3", "\"1\"", "null"}) {
+    EXPECT_THROW((void)JsonValue::parse(doc).as_u64(), InputError) << doc;
+  }
+  EXPECT_DOUBLE_EQ(JsonValue::parse("18446744073709551616").as_number(), 0x1p64);
+}
+
+TEST(JsonParser, MembersKeepDocumentOrder) {
+  const JsonValue doc = JsonValue::parse(R"({"b":1,"a":"x","b":2})");
+  const auto& members = doc.members();
+  ASSERT_EQ(members.size(), 3U);
+  EXPECT_EQ(members[0].first, "b");
+  EXPECT_EQ(members[1].second.as_string(), "x");
+  EXPECT_EQ(members[2].second.as_u64(), 2U);
+  EXPECT_THROW((void)JsonValue::parse("[1]").members(), InputError);
 }
 
 TEST(JsonExporters, MetricsWithHostileNamesParseStrictly) {
@@ -141,11 +166,11 @@ TEST(JsonExporters, MetricsWithHostileNamesParseStrictly) {
   h.observe(0.5);
   std::ostringstream ss;
   r.write_json(ss);
-  const net::JsonValue doc = net::JsonValue::parse(ss.str());
+  const JsonValue doc = JsonValue::parse(ss.str());
   ASSERT_NE(doc.get("counters"), nullptr);
   ASSERT_NE(doc.get("counters")->get(evil), nullptr);
   EXPECT_DOUBLE_EQ(doc.get("counters")->get(evil)->as_number(), 3.0);
-  const net::JsonValue* hist = doc.get("histograms")->get("lat\tency");
+  const JsonValue* hist = doc.get("histograms")->get("lat\tency");
   ASSERT_NE(hist, nullptr);
   EXPECT_DOUBLE_EQ(hist->get("count")->as_number(), 2.0);
   EXPECT_DOUBLE_EQ(hist->get("sum")->as_number(), 0.5);  // NaN excluded

@@ -39,7 +39,6 @@
 
 #include "core/request.hpp"
 #include "graph/task_graph.hpp"
-#include "net/jsonv.hpp"
 #include "net/protocol.hpp"
 #include "net/result_cache.hpp"
 #include "net/server.hpp"
@@ -50,6 +49,7 @@
 #include "util/errors.hpp"
 #include "util/faultinject.hpp"
 #include "util/json.hpp"
+#include "util/json_value.hpp"
 #include "util/signal.hpp"
 #include "util/socket.hpp"
 
@@ -234,6 +234,29 @@ TEST(RequestDigest, CliAndWireBuildTheSameRequest) {
         }
       }
     }
+  }
+}
+
+// Pinned request digests: the cache key must not drift when the request
+// path changes underneath it (the STG reader, the graph transforms, the
+// hash).  Only "stg" is sent, so the unit, the deadline factor and the
+// strategy are the wire's defaults.
+TEST(RequestDigest, GoldenValuesArePinned) {
+  const power::PowerModel model;
+  const std::pair<std::string, std::uint64_t> golden[] = {
+      {kPipelineStg, 0x922c1c807a6ca8b2},
+      {kForkJoinStg, 0x62071c69d1da54a7},
+      {small_stg(80, 40), 0x116e3a89df0c5701},
+      {small_stg(81, 60), 0x93a4e7cb9b282ca7},
+  };
+  for (const auto& [text, digest] : golden) {
+    std::ostringstream line;
+    line << "{\"stg\":";
+    write_json_string(line, text);
+    line << '}';
+    EXPECT_EQ(core::service_request_digest(parse_schedule_request(line.str(), model).request),
+              digest)
+        << text.substr(0, 24);
   }
 }
 

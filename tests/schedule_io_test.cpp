@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sched/list_scheduler.hpp"
 #include "sched/schedule_io.hpp"
 #include "stg/random_gen.hpp"
+#include "util/errors.hpp"
 
 namespace lamps::sched {
 namespace {
@@ -73,6 +75,47 @@ TEST(ScheduleIo, RejectsMalformedInput) {
       R"({"num_procs": 2, "num_tasks": 1, "placements": [
            {"task": 0, "proc": 0, "start": 0, "finish": 5},
            {"task": 0, "proc": 1, "start": 0, "finish": 5}]})");
+}
+
+TEST(ScheduleIo, CyclePositionsPast2To63RoundTrip) {
+  constexpr Cycles kStart = (Cycles{1} << 63) + 1;
+  Schedule a(2, 2);
+  a.place(0, 0, kStart, kStart + 4);
+  a.place(1, 1, 3, kStart);
+  const std::string json = to_schedule_json(a);
+  EXPECT_NE(json.find("\"start\": 9223372036854775809"), std::string::npos);
+  std::istringstream is(json);
+  const Schedule b = read_schedule_json(is);
+  EXPECT_EQ(b.placement(0).start, kStart);
+  EXPECT_EQ(b.placement(0).finish, kStart + 4);
+  EXPECT_EQ(b.placement(1).finish, kStart);
+  EXPECT_EQ(to_schedule_json(b), json);
+}
+
+TEST(ScheduleIo, UnknownFieldsAreRejected) {
+  for (const char* text :
+       {R"({"num_procs": 1, "num_tasks": 0, "placements": [], "extra": 1})",
+        R"({"num_procs": 1, "num_tasks": 1, "placements": [
+             {"task": 0, "proc": 0, "start": 0, "finish": 5, "energy": 1}]})"}) {
+    std::istringstream is(text);
+    EXPECT_THROW((void)read_schedule_json(is), std::runtime_error) << text;
+  }
+}
+
+// Every fault is one error type: InputError with E_JSON_PARSE.  A value
+// that is not an integer in [0, 2^64) is refused, not wrapped or truncated.
+TEST(ScheduleIo, ValuesOutsideU64AreTypedParseErrors) {
+  for (const char* value : {"18446744073709551616", "-1", "1.5", "1e3", "\"7\""}) {
+    std::istringstream is(std::string(R"({"num_procs": 1, "num_tasks": 1, "placements": [)") +
+                          R"({"task": 0, "proc": 0, "start": )" + value +
+                          R"(, "finish": 5}]})");
+    try {
+      (void)read_schedule_json(is);
+      ADD_FAILURE() << "accepted start " << value;
+    } catch (const InputError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kJsonParse) << value;
+    }
+  }
 }
 
 TEST(ScheduleIo, ToStringHelper) {

@@ -2,7 +2,9 @@
 // properties, Table 2 application-graph synthesis, suite registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "graph/analysis.hpp"
 #include "stg/app_synth.hpp"
@@ -77,6 +79,36 @@ TEST(Format, RejectsMalformedInput) {
   expect_fail("1\n0 0 0\n2 5 1 0\n3 0 0\n"); // non-consecutive ids
   expect_fail("1\n0 0 0\n1 5 2 0\n2 0 0\n"); // missing predecessor id
   expect_fail("1\n0 0 0\n1 -5 0\n2 0 0\n");  // negative weight
+}
+
+// CRLF line ends, tab/VT/FF separators, a missing final newline, an
+// indented comment and a whitespace-only line each read as the LF form.
+TEST(Format, SeparatorsAndLineEndings) {
+  const auto read = [](const std::string& text) {
+    std::istringstream is(text);
+    return read_stg(is);
+  };
+  const TaskGraph want = read("3\n0 0 0\n1 5 1 0\n2 7 1 0\n3 9 2 1 2\n4 0 1 3\n");
+  ASSERT_EQ(want.num_edges(), 2u);
+  const std::string variants[] = {
+      "3\r\n0 0 0\r\n1 5 1 0\r\n2 7 1 0\r\n3 9 2 1 2\r\n4 0 1 3\r\n",
+      "3\n0\t0\t0\n1\v5\f1 0\n2 7\t1\v0\n3\f9 2\t1 2\n4 0 1 3\n",
+      "3\n0 0 0\n1 5 1 0\n2 7 1 0\n3 9 2 1 2\n4 0 1 3",
+      "3\n0 0 0\n  \t# indented comment\n1 5 1 0\n2 7 1 0\n3 9 2 1 2\n4 0 1 3\n",
+      "3\n0 0 0\n1 5 1 0\n \t\v\f\r\n2 7 1 0\n3 9 2 1 2\n4 0 1 3\n",
+  };
+  for (const std::string& text : variants) {
+    SCOPED_TRACE(text);
+    const TaskGraph g = read(text);
+    ASSERT_EQ(g.num_tasks(), want.num_tasks());
+    EXPECT_EQ(g.num_edges(), want.num_edges());
+    for (TaskId v = 0; v < g.num_tasks(); ++v) {
+      EXPECT_EQ(g.weight(v), want.weight(v));
+      const auto a = g.successors(v);
+      const auto b = want.successors(v);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << v;
+    }
+  }
 }
 
 TEST(Format, WriteReadRoundTripPreservesStructure) {

@@ -35,7 +35,6 @@
 #include "core/request.hpp"
 #include "core/strategy.hpp"
 #include "graph/analysis.hpp"
-#include "net/jsonv.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -51,6 +50,7 @@
 #include "util/cli.hpp"
 #include "util/errors.hpp"
 #include "util/faultinject.hpp"
+#include "util/json_value.hpp"
 #include "util/obs_cli.hpp"
 #include "util/rng.hpp"
 #include "util/signal.hpp"
@@ -603,15 +603,15 @@ struct TopSample {
   double scrape_rtt_ms{0.0};
 };
 
-net::JsonValue admin_query(const Socket& sock, LineReader& reader,
+JsonValue admin_query(const Socket& sock, LineReader& reader,
                            const std::string& line) {
   if (!sock.send_all(line + "\n"))
     throw InternalError(ErrorCode::kIo, "server closed the connection mid-query");
   std::string resp;
   if (reader.read_line(resp) != LineReader::Status::kLine)
     throw InternalError(ErrorCode::kIo, "no response to admin query '" + line + "'");
-  net::JsonValue doc = net::JsonValue::parse(resp);
-  const net::JsonValue* ok = doc.get("ok");
+  JsonValue doc = JsonValue::parse(resp);
+  const JsonValue* ok = doc.get("ok");
   if (ok == nullptr || !ok->is_bool() || !ok->as_bool())
     throw InternalError(ErrorCode::kIo, "admin query '" + line + "' failed: " + resp);
   return doc;
@@ -620,17 +620,17 @@ net::JsonValue admin_query(const Socket& sock, LineReader& reader,
 TopSample scrape_statsz(const Socket& sock, LineReader& reader) {
   TopSample s;
   const auto t0 = std::chrono::steady_clock::now();
-  const net::JsonValue statsz = admin_query(sock, reader, "statsz");
+  const JsonValue statsz = admin_query(sock, reader, "statsz");
   s.scrape_rtt_ms =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() * 1e3;
   s.taken = t0;
   s.uptime_s = statsz.get_number("uptime_s", 0.0);
-  if (const net::JsonValue* d = statsz.get("draining"); d != nullptr && d->is_bool())
+  if (const JsonValue* d = statsz.get("draining"); d != nullptr && d->is_bool())
     s.draining = d->as_bool();
 
-  const net::JsonValue* metrics = statsz.get("metrics");
+  const JsonValue* metrics = statsz.get("metrics");
   if (metrics == nullptr) return s;
-  if (const net::JsonValue* counters = metrics->get("counters");
+  if (const JsonValue* counters = metrics->get("counters");
       counters != nullptr && counters->is_object()) {
     // The object accessor walks pairs; reparse via known serve.* names is
     // fragile, so lift everything through get() on a fixed name list plus
@@ -641,22 +641,22 @@ TopSample scrape_statsz(const Socket& sock, LineReader& reader) {
           "serve.requests_computed", "serve.cache_hits", "serve.cache_misses",
           "serve.singleflight_hits", "serve.slow_requests", "serve.admin_requests",
           "serve.connections_total", "flight.dropped_records"}) {
-      if (const net::JsonValue* v = counters->get(name); v != nullptr && v->is_number())
+      if (const JsonValue* v = counters->get(name); v != nullptr && v->is_number())
         s.counters[name] = static_cast<std::uint64_t>(v->as_number());
     }
   }
-  if (const net::JsonValue* hists = metrics->get("histograms");
+  if (const JsonValue* hists = metrics->get("histograms");
       hists != nullptr && hists->is_object()) {
     for (const char* name : {"serve.request_seconds", "serve.queue_seconds",
                              "serve.compute_seconds", "serve.write_seconds"}) {
-      const net::JsonValue* h = hists->get(name);
+      const JsonValue* h = hists->get(name);
       if (h == nullptr) continue;
       HistSnap snap;
       snap.total = static_cast<std::uint64_t>(h->get_number("count", 0.0));
-      if (const net::JsonValue* buckets = h->get("buckets");
+      if (const JsonValue* buckets = h->get("buckets");
           buckets != nullptr && buckets->is_array()) {
-        for (const net::JsonValue& b : buckets->items()) {
-          const net::JsonValue* le = b.get("le");
+        for (const JsonValue& b : buckets->items()) {
+          const JsonValue* le = b.get("le");
           snap.le.push_back(le != nullptr && le->is_number()
                                 ? le->as_number()
                                 : std::numeric_limits<double>::infinity());
@@ -721,8 +721,8 @@ std::string phase_quantiles(const TopSample& cur, const TopSample& prev,
 
 void print_top_sample(std::ostream& os, const std::string& host, std::size_t port,
                       const TopSample& cur, const TopSample& prev,
-                      const net::JsonValue& healthz, const net::JsonValue& cachez,
-                      const net::JsonValue& flightz) {
+                      const JsonValue& healthz, const JsonValue& cachez,
+                      const JsonValue& flightz) {
   const double dt =
       std::max(std::chrono::duration<double>(cur.taken - prev.taken).count(), 1e-9);
   const auto rate = [&](const std::string& name) {
@@ -762,24 +762,24 @@ void print_top_sample(std::ostream& os, const std::string& host, std::size_t por
      << healthz.get_number("pending", 0.0) << '/' << healthz.get_number("max_pending", 0.0)
      << "   connections " << healthz.get_number("connections", 0.0) << '\n';
 
-  if (const net::JsonValue* rc = cachez.get("result_cache"); rc != nullptr) {
+  if (const JsonValue* rc = cachez.get("result_cache"); rc != nullptr) {
     os << "  result cache " << rc->get_number("size", 0.0) << '/'
        << rc->get_number("capacity", 0.0);
   }
-  if (const net::JsonValue* bank = cachez.get("schedule_bank"); bank != nullptr) {
+  if (const JsonValue* bank = cachez.get("schedule_bank"); bank != nullptr) {
     os << "   schedule bank " << bank->get_number("size", 0.0) << '/'
        << bank->get_number("capacity", 0.0) << " (lease hits "
        << bank->get_number("lease_hits", 0.0) << ")";
   }
   os << "\n\n";
 
-  if (const net::JsonValue* records = flightz.get("records");
+  if (const JsonValue* records = flightz.get("records");
       records != nullptr && records->is_array() && !records->items().empty()) {
     os << "  recent flights (newest first):\n  " << std::left << std::setw(8) << "req"
        << std::setw(14) << "outcome" << std::right << std::setw(10) << "total_ms"
        << std::setw(10) << "queue_ms" << std::setw(12) << "compute_ms" << std::setw(9)
        << "bytes" << '\n';
-    for (const net::JsonValue& r : records->items()) {
+    for (const JsonValue& r : records->items()) {
       os << "  " << std::left << std::setw(8)
          << static_cast<std::uint64_t>(r.get_number("req", 0.0)) << std::setw(14)
          << r.get_string("outcome", "?") << std::right << std::fixed
@@ -825,9 +825,9 @@ int cmd_top(int argc, const char* const* argv) {
 
   TopSample prev = scrape_statsz(sock, reader);
   if (once) {
-    const net::JsonValue healthz = admin_query(sock, reader, "healthz");
-    const net::JsonValue cachez = admin_query(sock, reader, "cachez");
-    const net::JsonValue flightz = admin_query(
+    const JsonValue healthz = admin_query(sock, reader, "healthz");
+    const JsonValue cachez = admin_query(sock, reader, "cachez");
+    const JsonValue flightz = admin_query(
         sock, reader, "{\"cmd\":\"flightz\",\"limit\":" + std::to_string(flights) + "}");
     // Rates need two scrapes; a one-shot prints absolutes against an
     // empty baseline plus the machine-greppable scrape RTT line.
@@ -840,9 +840,9 @@ int cmd_top(int argc, const char* const* argv) {
   for (std::size_t frame = 0; samples == 0 || frame < samples; ++frame) {
     std::this_thread::sleep_for(std::chrono::duration<double>(interval));
     TopSample cur = scrape_statsz(sock, reader);
-    const net::JsonValue healthz = admin_query(sock, reader, "healthz");
-    const net::JsonValue cachez = admin_query(sock, reader, "cachez");
-    const net::JsonValue flightz = admin_query(
+    const JsonValue healthz = admin_query(sock, reader, "healthz");
+    const JsonValue cachez = admin_query(sock, reader, "cachez");
+    const JsonValue flightz = admin_query(
         sock, reader, "{\"cmd\":\"flightz\",\"limit\":" + std::to_string(flights) + "}");
     std::cout << "\033[2J\033[H";  // clear + home: a live refreshing frame
     print_top_sample(std::cout, host, port, cur, prev, healthz, cachez, flightz);
